@@ -38,7 +38,6 @@ from .states import (
 from .channel import (
     BeamSplitterChannel,
     ChoiMatrix,
-    beam_splitter_unitary,
     complement_identity_check,
     convolve,
     convolve_complement,

@@ -15,94 +15,70 @@ from itertools import combinations
 import numpy as np
 from scipy import optimize
 
-from .channel import (
-    BeamSplitterChannel,
-    beam_splitter_permutation,
-    complement_identity_check,
-    degradation_witness,
-)
+from .channel import BeamSplitterChannel, complement_identity_check, degradation_witness
 from .linalg import shannon_entropy, von_neumann_entropy
 from .magic import mrm
 from .parallel import parallel_map
 from .states import (
     DensityMatrix,
     preset_state,
-    purify,
     random_density_matrix,
     stabilizer_family,
 )
 from .weyl import BSParams, QuditParams
 
 
-def _entropy_bits(matrix: np.ndarray) -> float:
-    vals = np.clip(np.linalg.eigvalsh(matrix), 0.0, None)
-    vals = vals[vals > 0.0]
-    return float(-np.sum(vals * np.log2(vals)))
-
-
-def _environment_is_pure(chan: BeamSplitterChannel) -> bool:
-    return float(np.linalg.eigvalsh(chan.environment.matrix)[-1]) >= 1.0 - 1e-12
-
-
-def _ic_purification_matrix(chan: BeamSplitterChannel, rho_matrix: np.ndarray) -> float:
-    p = chan.params
-    dim = p.dim
-    vals, vecs = np.linalg.eigh(rho_matrix)
-    keep = vals > 1e-14
-    ref = max(int(np.sum(keep)), 1)
-    psi = (vecs[:, keep] * np.sqrt(np.clip(vals[keep], 0.0, None))).T  # (ref, dim)
-    if psi.shape[0] == 0:
-        psi = vecs[:, -1:].T
-    perm = beam_splitter_permutation(chan.bsparams)
-    evals, evecs = np.linalg.eigh(chan.environment.matrix)
-    joint = np.zeros((ref * dim, ref * dim), dtype=complex)
-    for weight, m in zip(evals, evecs.T):
-        if weight < 1e-14:
-            continue
-        branch = np.einsum("ra,b->rab", psi, m).reshape(ref, dim * dim)
-        rotated = np.zeros_like(branch)
-        rotated[:, perm] = branch
-        w = rotated.reshape(ref * dim, dim)
-        joint += weight * (w @ w.conj().T)
-    return _entropy_bits(chan.apply_matrix(rho_matrix)) - _entropy_bits(joint)
-
-
 def _ic_matrix_fn(chan: BeamSplitterChannel):
-    """Coherent-information evaluator on raw matrices, picked once per channel.
+    """Coherent-information evaluator on raw matrices, built once per channel.
 
-    For a pure environment the complement output realizes the Stinespring
-    environment exactly, so the cheap two-entropy difference applies; for a
-    mixed environment the trace-out-the-first-register state discards the
-    environment purifier, so only the purification route computes the true
-    coherent information.
+    I_c = S(N(rho)) - S(N^c(rho)), with the complement landing on E x E',
+    where E' purifies the environment as sigma = P P^dag.  With (Ic, Jc) the
+    complement's gather indices,
+
+        N^c(rho)[(e, k), (f, l)] = sum_a rho[Ic[e, a], Ic[f, a]] P[Jc[e, a], k] conj(P[Jc[f, a], l]).
+
+    Reference, output, E and E' then share a pure state, so the entropy
+    difference is the coherent information for every environment, and the
+    map is linear in rho (no eigendecomposition of the input).
     """
-    if _environment_is_pure(chan):
+    i, j = chan.gather_indices(complement=True)
+    purifier = chan.environment_purifier()
+    dim, rank = purifier.shape
+    size = dim * rank
+    left = np.ascontiguousarray(purifier[j].transpose(0, 2, 1))  # [e, k, a]
+    right = purifier[j].conj()  # [f, a, l]
+    rows, cols = i[None, :, :], i[:, None, :]  # gathers rho as [f, e, a]
 
-        def ic(m: np.ndarray) -> float:
-            out = chan.apply_matrix(m)
-            comp = chan.apply_matrix(m, complement=True)
-            return _entropy_bits(out) - _entropy_bits(comp)
+    def ic(m: np.ndarray) -> float:
+        terms = (m[rows, cols][:, :, None, :] * left).reshape(dim, size, dim)  # [f, (e, k), a]
+        comp = (terms @ right).transpose(1, 0, 2).reshape(size, size)
+        return von_neumann_entropy(chan.apply_matrix(m)) - von_neumann_entropy(comp)
 
-        return ic
-    return lambda m: _ic_purification_matrix(chan, m)
+    return ic
 
 
 def coherent_information(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:
     """Coherent information of one input through the channel, in bits.
 
-    Equals S(channel output) - S(complement output) when the environment is
-    pure, and the purification-route value otherwise.
+    One route for every environment: S(channel output) - S(complement output
+    on the traced register and the environment purifier).
     """
     return _ic_matrix_fn(chan)(rho.matrix)
 
 
 def coherent_information_purification(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:
-    """Always-purification route: S(output) - S(joint reference/output state).
+    """S(output) - S(reference/output state), from the other side of the same
+    pure state: the input is purified by its eigenvectors and sent through
+    the Stinespring amplitudes.
 
-    Agreement with the complement route on pure environments guards the
-    Stinespring wiring.
+    Agreement with ``coherent_information`` guards the Stinespring wiring.
     """
-    return _ic_purification_matrix(chan, rho.matrix)
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    keep = vals > 1e-14
+    psi = (vecs[:, keep] * np.sqrt(vals[keep])).T  # psi[r, x]
+    return von_neumann_entropy(chan.apply_matrix(rho.matrix)) - von_neumann_entropy(
+        chan.reference_output(psi)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,19 @@
 
 The two-register unitary sends |i, j> to |s i + t j, -t i + s j> (all
 arithmetic componentwise mod d), so it is stored as an index permutation and
-materialized densely only on demand.  The channel traces out the second
-register against a fixed environment state; the complementary channel traces
-out the first.
+never materialized.  The channel traces out the second register against a
+fixed environment state; the complementary channel traces out the first.
+
+Because the unitary permutes basis kets, the channel is one gather: with
+|I[a, b], J[a, b]> the preimage of |a, b>,
+
+    out[a, a'] = sum_b rho[I[a, b], I[a', b]] * sigma[J[a, b], J[a', b]],
+
+and the complement is the same sum with I, J transposed.  The sum costs
+dim^3 and runs in chunks of b under a fixed element budget, so the dim^4
+joint state is never built.  Choi matrices and other reference/output
+states use the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k] of the
+environment purified as sigma = P P^dag.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ from .weyl import (
 CHOI_PSD_TOL = 1e-10
 CHOI_TP_TOL = 1e-10
 CHANNEL_EQ_TOL = 1e-9
+BRANCH_CUTOFF = 1e-14  # environment eigenvalues below this carry no Stinespring branch
+GATHER_BUDGET = 1 << 18  # elements per gathered factor in one chunk of the channel sum
 
 
 @lru_cache(maxsize=None)
@@ -50,29 +62,35 @@ def _joint_permutation(d: int, n: int, s: int, t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _joint_permutation_inverse(d: int, n: int, s: int, t: int) -> np.ndarray:
+def _gather_indices(d: int, n: int, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I, J) with U |I[a, b], J[a, b]> = |a, b>: the inverse joint permutation
+    reshaped to [a, b]; read-only."""
     perm = _joint_permutation(d, n, s, t)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    return inv
+    dim = d**n
+    i, j = np.divmod(inv.reshape(dim, dim), dim)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def beam_splitter_permutation(bsparams: BSParams) -> np.ndarray:
     return _joint_permutation(bsparams.params.d, bsparams.params.n, bsparams.s, bsparams.t)
 
 
-def beam_splitter_unitary(bsparams: BSParams) -> np.ndarray:
-    """Dense two-register permutation unitary."""
-    perm = beam_splitter_permutation(bsparams)
-    dim2 = perm.size
-    out = np.zeros((dim2, dim2), dtype=complex)
-    out[perm, np.arange(dim2)] = 1.0
+def _gather_sum(rho: np.ndarray, sigma: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """out[a, a'] = sum_b rho[i[a, b], i[a', b]] * sigma[j[a, b], j[a', b]].
+
+    The sum runs over chunks of b holding at most ``GATHER_BUDGET`` gathered
+    elements per factor.
+    """
+    dim, width = i.shape
+    step = max(1, GATHER_BUDGET // (dim * dim))
+    out = np.zeros((dim, dim), dtype=complex)
+    for lo in range(0, width, step):
+        ib, jb = i[:, lo : lo + step], j[:, lo : lo + step]
+        out += np.einsum("xyb,xyb->xy", rho[ib[:, None], ib[None]], sigma[jb[:, None], jb[None]])
     return out
-
-
-def _permute_conjugate(matrix: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """U M U^dag for the permutation U, via (U M U^dag)[x, y] = M[inv x, inv y]."""
-    return matrix[np.ix_(inv, inv)]
 
 
 @dataclass(frozen=True)
@@ -90,14 +108,37 @@ class BeamSplitterChannel:
     def params(self) -> QuditParams:
         return self.bsparams.params
 
+    def gather_indices(self, complement: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(I, J) indexed [kept output, traced output]: the kept register's
+        ket a and the traced one's b come from |I[a, b], J[a, b]>."""
+        p = self.params
+        i, j = _gather_indices(p.d, p.n, self.bsparams.s, self.bsparams.t)
+        return (i.T, j.T) if complement else (i, j)
+
+    def environment_purifier(self) -> np.ndarray:
+        """P with sigma = P P^dag: columns sqrt(lambda_k) v_k, one per
+        environment eigenvalue above ``BRANCH_CUTOFF``."""
+        vals, vecs = np.linalg.eigh(self.environment.matrix)
+        keep = vals > BRANCH_CUTOFF
+        return vecs[:, keep] * np.sqrt(vals[keep])
+
     def apply_matrix(self, rho_matrix: np.ndarray, complement: bool = False) -> np.ndarray:
         """Channel action on a raw matrix; no state validation (hot path)."""
-        p = self.params
-        inv = _joint_permutation_inverse(p.d, p.n, self.bsparams.s, self.bsparams.t)
-        joint = np.kron(rho_matrix, self.environment.matrix)
-        rotated = _permute_conjugate(joint, inv)
-        keep = [1] if complement else [0]
-        return partial_trace(rotated, [p.dim, p.dim], keep=keep)
+        i, j = self.gather_indices(complement)
+        return _gather_sum(np.asarray(rho_matrix), self.environment.matrix, i, j)
+
+    def reference_output(self, psi: np.ndarray, complement: bool = False) -> np.ndarray:
+        """(id x channel)(|psi><psi|) for psi[r, x] on reference x input.
+
+        The Stinespring amplitudes W[r, a, b, k] = psi[r, I[a, b]] * P[J[a, b], k]
+        form a pure state on reference, kept output, traced output and the
+        environment purifier; the result is W W^dag over (r, a), of size
+        refs * dim.
+        """
+        i, j = self.gather_indices(complement)
+        amplitudes = psi[:, i, None] * self.environment_purifier()[j]
+        w = amplitudes.reshape(psi.shape[0] * self.params.dim, -1)
+        return w @ w.conj().T
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         self._check_input(rho)
@@ -112,28 +153,10 @@ class BeamSplitterChannel:
             raise ValueError(f"input layout {rho.params} does not match channel {self.params}")
 
     def choi(self, complement: bool = False, post_unitary: np.ndarray | None = None) -> "ChoiMatrix":
-        """Choi matrix of the channel (optionally with a unitary applied after).
-
-        Built from the maximally entangled input vector and the environment
-        eigenvectors, one Stinespring branch per eigenvector.
-        """
-        p = self.params
-        dim = p.dim
-        perm = beam_splitter_permutation(self.bsparams)
-        evals, evecs = np.linalg.eigh(self.environment.matrix)
-        phi = np.eye(dim, dtype=complex) / np.sqrt(dim)  # phi[r, a] amplitudes
-        out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for weight, m in zip(evals, evecs.T):
-            if weight < 1e-14:
-                continue
-            branch = np.einsum("ra,b->rab", phi, m).reshape(dim, dim * dim)
-            rotated = np.zeros_like(branch)
-            rotated[:, perm] = branch
-            cube = rotated.reshape(dim, dim, dim)  # [reference, out_a, out_b]
-            if complement:
-                cube = cube.transpose(0, 2, 1)
-            w = cube.reshape(dim * dim, dim)
-            out += weight * (w @ w.conj().T)
+        """Choi matrix of the channel (optionally with a unitary applied after):
+        the reference/output state of the maximally entangled input."""
+        dim = self.params.dim
+        out = self.reference_output(np.eye(dim, dtype=complex) / np.sqrt(dim), complement)
         if post_unitary is not None:
             lifted = np.kron(np.eye(dim), post_unitary)
             out = lifted @ out @ lifted.conj().T
@@ -311,28 +334,6 @@ def degradation_witness(
             "anti-degradable hold simultaneously",
         ),
     )
-
-
-def stinespring_isometry(chan: BeamSplitterChannel) -> np.ndarray:
-    """V rho V^dag realizes the joint evolution for a pure environment.
-
-    Only defined when the environment is pure; raises otherwise.
-    """
-    env = chan.environment
-    vals, vecs = np.linalg.eigh(env.matrix)
-    if vals[-1] < 1.0 - 1e-10:
-        raise ValueError("Stinespring isometry through a single branch needs a pure environment")
-    ket = vecs[:, -1]
-    dim = chan.params.dim
-    perm = beam_splitter_permutation(chan.bsparams)
-    v = np.zeros((dim * dim, dim), dtype=complex)
-    for a in range(dim):
-        joint = np.zeros(dim * dim, dtype=complex)
-        joint[a * dim : (a + 1) * dim] = ket
-        rotated = np.zeros_like(joint)
-        rotated[perm] = joint
-        v[:, a] = rotated
-    return v
 
 
 def choi_from_kraus(kraus: list[np.ndarray], input_dim: int) -> ChoiMatrix:

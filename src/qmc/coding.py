@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BeamSplitterChannel, beam_splitter_permutation
+from .channel import BeamSplitterChannel
 from .magic import mrm_inf
 from .states import DensityMatrix, StabilizerFamily, preset_state, stabilizer_family
 from .weyl import BSParams, QuditParams
@@ -88,19 +88,8 @@ def entanglement_fidelity(code: CodeSpec, chan: BeamSplitterChannel) -> float:
     dim = chan.params.dim
     if k > dim:
         raise ValueError(f"logical dimension {k} exceeds physical dimension {dim}")
-    perm = beam_splitter_permutation(chan.bsparams)
-    # encoded maximally entangled vector, reference first: psi[r, a]
-    psi = code.encoding.T / math.sqrt(k)  # row r is enc(|r>)/sqrt(K)
-    evals, evecs = np.linalg.eigh(chan.environment.matrix)
-    joint = np.zeros((k * dim, k * dim), dtype=complex)
-    for weight, m in zip(evals, evecs.T):
-        if weight < 1e-14:
-            continue
-        branch = np.einsum("ra,b->rab", psi, m).reshape(k, dim * dim)
-        rotated = np.zeros_like(branch)
-        rotated[:, perm] = branch
-        w = rotated.reshape(k * dim, dim)
-        joint += weight * (w @ w.conj().T)
+    # encoded maximally entangled vector, reference first: row r is enc(|r>)/sqrt(K)
+    joint = chan.reference_output(code.encoding.T / math.sqrt(k))
     decoded = np.zeros((k * k, k * k), dtype=complex)
     for kr in code.kraus:
         lifted = np.kron(np.eye(k), kr)

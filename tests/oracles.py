@@ -43,6 +43,42 @@ def partial_trace_loop(matrix: np.ndarray, dims: list[int], keep: list[int]) -> 
     return out
 
 
+def beam_splitter_unitary(d: int, n: int, s: int, t: int) -> np.ndarray:
+    """Dense U|i, j> = |s i + t j, -t i + s j> (digitwise mod d) on two
+    n-qudit registers, built ket by ket."""
+    dim = d**n
+
+    def digits(flat):
+        return [(flat // d**k) % d for k in range(n)]
+
+    def encode(digs):
+        return sum(v * d**k for k, v in enumerate(digs))
+
+    u = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            di, dj = digits(i), digits(j)
+            a = encode([(s * x + t * y) % d for x, y in zip(di, dj)])
+            b = encode([(-t * x + s * y) % d for x, y in zip(di, dj)])
+            u[a * dim + b, i * dim + j] = 1.0
+    return u
+
+
+def channel_oracle(rho: np.ndarray, sigma: np.ndarray, unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(channel output, complement output): the joint state U (rho x sigma)
+    U^dag, with the second or the first register traced out."""
+    dim = rho.shape[0]
+    joint = unitary @ np.kron(rho, sigma) @ unitary.conj().T
+    blocks = joint.reshape(dim, dim, dim, dim)  # [a, b, a', b']
+    return np.einsum("abcb->ac", blocks), np.einsum("abad->bd", blocks)
+
+
+def stinespring_isometry(unitary: np.ndarray, env_ket: np.ndarray) -> np.ndarray:
+    """V = U (1 x |env>): the (dim^2, dim) isometry of a pure environment."""
+    dim = env_ket.shape[0]
+    return unitary @ np.kron(np.eye(dim), env_ket.reshape(dim, 1))
+
+
 def dinf_bisection(rho: np.ndarray, sigma: np.ndarray, iters: int = 60) -> float:
     """log2 of the smallest l with l*sigma - rho PSD, by bisection on l."""
 

@@ -67,13 +67,17 @@ class TestCoherentInformation:
             b = coherent_information_purification(chan, rho)
             assert abs(a - b) <= 1e-8
 
-    def test_mixed_environment_uses_purification_route(self, rng):
-        env = random_density_matrix(P7, rng)
-        chan = channel(BS72, env)
-        rho = random_density_matrix(P7, rng)
-        assert coherent_information(chan, rho) == pytest.approx(
-            coherent_information_purification(chan, rho), abs=1e-12
-        )
+    def test_routes_agree_for_every_environment_rank(self, rng):
+        # one route for all environments: the E x E' complement must match the
+        # reference/output side of the same pure state, rank-deficient inputs too
+        for bs in (BS72, BSParams(P7, 2, 5)):
+            for env_rank in range(1, 8):
+                chan = channel(bs, random_density_matrix(P7, rng, rank=env_rank))
+                for input_rank in (1, 2, 4, 7):
+                    rho = random_density_matrix(P7, rng, rank=input_rank)
+                    a = coherent_information(chan, rho)
+                    b = coherent_information_purification(chan, rho)
+                    assert abs(a - b) <= 1e-10
 
     def test_pure_environment_pure_input_is_zero(self, rng):
         chan = channel(BS72, random_pure_state(P7, rng))

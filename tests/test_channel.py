@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from qmc.channel import (
     BeamSplitterChannel,
     ChoiMatrix,
     beam_splitter_permutation,
-    beam_splitter_unitary,
     choi_from_kraus,
     complement_identity_check,
     convolve,
@@ -17,7 +17,6 @@ from qmc.channel import (
     displace,
     iterate_convolution,
     phase_inversion,
-    stinespring_isometry,
 )
 from qmc.linalg import frobenius_distance, partial_trace, von_neumann_entropy
 from qmc.states import (
@@ -33,9 +32,13 @@ from qmc.weyl import (
     WeylIndex,
     characteristic_function,
     random_clifford,
+    scale_indices,
+    valid_st_pairs,
     weyl_operator,
     wigner_function,
 )
+
+from oracles import beam_splitter_unitary, channel_oracle, stinespring_isometry
 
 P7 = QuditParams(7)
 BS72 = BSParams(P7, 2, 2)
@@ -52,7 +55,7 @@ def two_ket_mixture(params, kets):
 
 class TestUnitary:
     def test_trivial_weights_give_identity(self):
-        u = beam_splitter_unitary(BSParams(P7, 1, 0))
+        u = beam_splitter_unitary(7, 1, 1, 0)
         assert np.array_equal(u, np.eye(49).astype(complex))
 
     def test_index_map_balanced(self):
@@ -63,14 +66,12 @@ class TestUnitary:
                 assert perm[i * 7 + j] == expected
 
     def test_unitarity_all_d7_pairs(self):
-        from qmc.weyl import valid_st_pairs
-
         for bs in valid_st_pairs(P7):
-            u = beam_splitter_unitary(bs)
+            u = beam_splitter_unitary(7, 1, bs.s, bs.t)
             assert np.array_equal(u @ u.conj().T, np.eye(49).astype(complex))
 
     def test_covariance_random_labels(self, rng):
-        u = beam_splitter_unitary(BS72)
+        u = beam_splitter_unitary(7, 1, 2, 2)
         for _ in range(6):
             pa, qa, pb, qb = (int(v) for v in rng.integers(0, 7, size=4))
             wa = weyl_operator(P7, WeylIndex.make(P7, pa, qa))
@@ -119,6 +120,47 @@ class TestApply:
         s_out = von_neumann_entropy(chan.apply(rho).matrix)
         s_comp = von_neumann_entropy(chan.apply_complement(rho).matrix)
         assert abs(s_out - s_comp) <= 1e-9
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+    @given(seed=st.integers(0, 2**32 - 1), pure_rho=st.booleans(), pure_sigma=st.booleans())
+    def test_gather_matches_dense_oracle(self, d, n, seed, pure_rho, pure_sigma):
+        # every valid pair: d = 3 and d = 5 have no nontrivial ones
+        params = QuditParams(d, n)
+        rng = np.random.default_rng(seed)
+        rho = random_pure_state(params, rng) if pure_rho else random_density_matrix(params, rng)
+        sigma = random_pure_state(params, rng) if pure_sigma else random_density_matrix(params, rng)
+        for bs in valid_st_pairs(params):
+            chan = BeamSplitterChannel(bs, sigma)
+            out, comp = channel_oracle(rho.matrix, sigma.matrix, beam_splitter_unitary(d, n, bs.s, bs.t))
+            assert np.max(np.abs(chan.apply_matrix(rho.matrix) - out)) <= 1e-12
+            assert np.max(np.abs(chan.apply_matrix(rho.matrix, complement=True) - comp)) <= 1e-12
+
+    def test_dim121_memory_bounded_and_table_identity(self, rng):
+        # the dense joint state alone would take 121^4 complex entries (3.4 GB)
+        params = QuditParams(11, 2)
+        bs = BSParams(params, 5, 3)
+        rho = random_density_matrix(params, rng)
+        sigma = random_density_matrix(params, rng)
+        chan = BeamSplitterChannel(bs, sigma)
+        tracemalloc.start()
+        try:
+            out = chan.apply_matrix(rho.matrix)
+            comp = chan.apply_matrix(rho.matrix, complement=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2**20
+        rt = characteristic_function(rho).values
+        st_ = characteristic_function(sigma).values
+
+        def scaled(table, k):
+            idx = scale_indices(11, 2, k)
+            return table[np.ix_(idx, idx)]
+
+        out_table = characteristic_function(DensityMatrix(params, out)).values
+        assert np.max(np.abs(out_table - scaled(rt, bs.s) * scaled(st_, bs.t))) <= 1e-10
+        comp_table = characteristic_function(DensityMatrix(params, comp)).values
+        assert np.max(np.abs(comp_table - scaled(rt, -bs.t) * scaled(st_, bs.s))) <= 1e-10
 
     def test_dimension_mismatch(self):
         env = preset_state("ket-zero", P7)
@@ -245,7 +287,8 @@ class TestChoi:
     def test_complement_matches_stinespring_route(self, rng):
         env = random_pure_state(P7, rng)
         chan = BeamSplitterChannel(BS72, env)
-        v = stinespring_isometry(chan)
+        ket = np.linalg.eigh(env.matrix)[1][:, -1]
+        v = stinespring_isometry(beam_splitter_unitary(7, 1, 2, 2), ket)
         assert np.max(np.abs(v.conj().T @ v - np.eye(7))) <= 1e-12
         kraus = [v.reshape(7, 7, 7)[a] for a in range(7)]  # <a|_out-A blocks on B
         via_kraus = choi_from_kraus(kraus, 7)
