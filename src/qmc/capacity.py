@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 from scipy import optimize
 
-from .channel import BeamSplitterChannel, complement_identity_check, degradation_witness
+from .channel import BeamSplitterChannel, check_side, complement_identity_check, degradation_witness
 from .linalg import shannon_entropy, von_neumann_entropy
 from .magic import mrm
 from .parallel import parallel_map
@@ -26,6 +27,8 @@ from .states import (
     stabilizer_family,
 )
 from .weyl import BSParams, QuditParams
+
+LOG_FLOOR = 1e-300  # eigenvalues are floored here inside the gradient's log2
 
 
 def _ic_matrix_fn(chan: BeamSplitterChannel):
@@ -40,21 +43,67 @@ def _ic_matrix_fn(chan: BeamSplitterChannel):
     Reference, output, E and E' then share a pure state, so the entropy
     difference is the coherent information for every environment, and the
     map is linear in rho (no eigendecomposition of the input).
+
+    ``ic(m)`` takes eigenvalues only.  ``ic(m, grad=True)`` returns
+    ``(I_c, A)`` with dI_c = Tr(A dm) for Hermitian dm:
+
+        A = -N^dag(log2 N(m)) + N^c^dag(log2 N^c(m)).
+
+    The 1/ln 2 terms of the two entropy derivatives cancel because both maps
+    preserve the trace.  Each adjoint is a scatter-add (``np.bincount``) onto
+    the positions its forward map gathers from, transposed.
     """
-    i, j = chan.gather_indices(complement=True)
+    i, j = chan.gather_indices()
+    ic_idx, jc = chan.gather_indices(complement=True)
     purifier = chan.environment_purifier()
     dim, rank = purifier.shape
     size = dim * rank
-    left = np.ascontiguousarray(purifier[j].transpose(0, 2, 1))  # [e, k, a]
-    right = purifier[j].conj()  # [f, a, l]
-    rows, cols = i[None, :, :], i[:, None, :]  # gathers rho as [f, e, a]
+    check_side(dim, rank, dim * size * dim)
+    pj = purifier[jc]  # [e, a, k]
+    left = np.ascontiguousarray(pj.transpose(0, 2, 1))  # [e, k, a]
+    right = pj.conj()  # [f, a, l]
+    rows, cols = ic_idx[None, :, :], ic_idx[:, None, :]  # gathers rho as [f, e, a]
 
-    def ic(m: np.ndarray) -> float:
+    @cache
+    def adjoint_tables():
+        """Scatter positions and fixed factors: the channel's terms as
+        [a, a', b], the complement's as [f, a, e]; built on the first gradient."""
+        sigma_terms = chan.environment.matrix[j[:, None, :], j[None, :, :]]
+        flat = np.concatenate([
+            (i[:, None, :] * dim + i[None, :, :]).ravel(),
+            (ic_idx.T[None, :, :] * dim + ic_idx[:, :, None]).ravel(),
+        ])
+        return sigma_terms, flat, pj.transpose(1, 0, 2)  # the last as [a, e, k]
+
+    def complement(m: np.ndarray) -> np.ndarray:
         terms = (m[rows, cols][:, :, None, :] * left).reshape(dim, size, dim)  # [f, (e, k), a]
-        comp = (terms @ right).transpose(1, 0, 2).reshape(size, size)
-        return von_neumann_entropy(chan.apply_matrix(m)) - von_neumann_entropy(comp)
+        return (terms @ right).transpose(1, 0, 2).reshape(size, size)
+
+    def ic(m: np.ndarray, grad: bool = False):
+        out = chan.apply_matrix(m)
+        if not grad:
+            return von_neumann_entropy(out) - von_neumann_entropy(complement(m))
+        sigma_terms, flat, pj_ae = adjoint_tables()
+        s_out, log_out = _entropy_and_log(out)
+        s_comp, log_comp = _entropy_and_log(complement(m))
+        # W[f, a, e] = sum_{k, l} log_comp[(f, l), (e, k)] P[Jc[e, a], k] conj(P[Jc[f, a], l])
+        t = (right @ log_comp.reshape(dim, rank, size)).reshape(dim, dim, dim, rank)
+        weights = np.concatenate([
+            -(log_out.T[:, :, None] * sigma_terms).ravel(),
+            np.einsum("faek,aek->fae", t, pj_ae).ravel(),
+        ])
+        a = np.bincount(flat, weights.real, dim * dim) + 1j * np.bincount(flat, weights.imag, dim * dim)
+        return s_out - s_comp, a.reshape(dim, dim).T
 
     return ic
+
+
+def _entropy_and_log(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Entropy in bits and log2 of a density matrix, eigenvalues floored at
+    ``LOG_FLOOR`` inside the logarithm."""
+    vals, vecs = np.linalg.eigh(m)
+    logs = np.log2(np.maximum(vals, LOG_FLOOR))
+    return shannon_entropy(np.clip(vals, 0.0, None)), (vecs * logs) @ vecs.conj().T
 
 
 def coherent_information(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:
@@ -76,9 +125,8 @@ def coherent_information_purification(chan: BeamSplitterChannel, rho: DensityMat
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > 1e-14
     psi = (vecs[:, keep] * np.sqrt(vals[keep])).T  # psi[r, x]
-    return von_neumann_entropy(chan.apply_matrix(rho.matrix)) - von_neumann_entropy(
-        chan.reference_output(psi)
-    )
+    joint = von_neumann_entropy(chan.reference_output(psi))  # size-checked before the output is built
+    return von_neumann_entropy(chan.apply_matrix(rho.matrix)) - joint
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +156,8 @@ class CapacityReport:
     budget: OptimizerBudget
     budget_exhausted: bool
     recomputed_value: float
+    evaluations: int  # coherent-information evaluations: pool, restarts and polish
+    restarts_converged: int
 
     def to_dict(self) -> dict:
         return {
@@ -124,21 +174,39 @@ class CapacityReport:
                 "polish_steps": self.budget.polish_steps,
             },
             "budget_exhausted": self.budget_exhausted,
+            "evaluations": self.evaluations,
+            "restarts_converged": self.restarts_converged,
             "lower_bound_only": True,
         }
 
 
 def _objective(chan: BeamSplitterChannel):
+    """The coherent information over a free complex matrix G, as a function
+    of x = (Re G, Im G) flattened.
+
+    The state is rho = G G^dag / tau with tau = Tr(G G^dag).  With A the
+    gradient in rho from ``_ic_matrix_fn`` and B = (A - Tr(A rho) 1) / tau,
+    the exact gradient is dI_c/d(Re G) = 2 Re(B G) and dI_c/d(Im G) =
+    2 Im(B G).  Returns ``(ic_of_matrix, value_and_grad, to_vector, to_state)``.
+    """
     dim = chan.params.dim
     ic_of_matrix = _ic_matrix_fn(chan)
 
-    def from_vector(x: np.ndarray) -> float:
-        g = x[: dim * dim].reshape(dim, dim) + 1j * x[dim * dim :].reshape(dim, dim)
+    def to_matrix(x: np.ndarray) -> np.ndarray:
+        return x[: dim * dim].reshape(dim, dim) + 1j * x[dim * dim :].reshape(dim, dim)
+
+    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        g = to_matrix(x)
         m = g @ g.conj().T
         tr = float(np.trace(m).real)
         if tr < 1e-14:
-            return -float(dim)  # worthless corner of parameter space
-        return ic_of_matrix(m / tr)
+            return -float(dim), np.zeros_like(x)  # worthless corner of parameter space
+        rho = m / tr
+        value, a = ic_of_matrix(rho, grad=True)
+        b = a / tr
+        b[np.diag_indices(dim)] -= float(np.sum(a * rho.T).real) / tr
+        bg = b @ g
+        return value, 2.0 * np.concatenate([bg.real.reshape(-1), bg.imag.reshape(-1)])
 
     def to_vector(m: np.ndarray) -> np.ndarray:
         vals, vecs = np.linalg.eigh(m)
@@ -146,11 +214,11 @@ def _objective(chan: BeamSplitterChannel):
         return np.concatenate([g.real.reshape(-1), g.imag.reshape(-1)])
 
     def to_state(x: np.ndarray) -> np.ndarray:
-        g = x[: dim * dim].reshape(dim, dim) + 1j * x[dim * dim :].reshape(dim, dim)
+        g = to_matrix(x)
         m = g @ g.conj().T
         return m / float(np.trace(m).real)
 
-    return ic_of_matrix, from_vector, to_vector, to_state
+    return ic_of_matrix, value_and_grad, to_vector, to_state
 
 
 def _candidate_pool(
@@ -188,30 +256,39 @@ def qcap_one_shot(
     seed: int = 0,
     initial_states: tuple[DensityMatrix, ...] = (),
 ) -> CapacityReport:
-    """Multi-restart derivative-free maximization of coherent information.
+    """Multi-restart exact-gradient maximization of coherent information.
 
     Candidate states are parametrized as G G^dag / Tr(G G^dag) over a free
-    complex matrix G.  A screened candidate pool seeds half of the
-    Nelder-Mead restarts (the rest start from random G), and the incumbent is
-    polished with a few central-difference ascent steps.  Deterministic for a
-    fixed seed; per-restart seeds are split off the master seed.
+    complex matrix G.  A screened candidate pool seeds half of the L-BFGS-B
+    restarts (the rest start from random G; ``iterations`` is each
+    restart's ``maxiter``), and the incumbent then takes up to
+    ``polish_steps`` backtracking steps along the exact gradient.  Every
+    value is one that was evaluated, so the result is a lower bound only.
+    Deterministic for a fixed seed; per-restart seeds are split off the
+    master seed.
     """
     budget = budget or OptimizerBudget()
     if chan.params.dim > 49:
         raise ValueError("optimization space capped at d^n <= 49")
-    ic_of_matrix, from_vector, to_vector, to_state = _objective(chan)
+    ic_of_matrix, value_and_grad, to_vector, to_state = _objective(chan)
     master = np.random.SeedSequence(seed)
     pool_rng = np.random.default_rng(master.spawn(1)[0])
     pool = _candidate_pool(chan, budget, pool_rng, tuple(initial_states))
     pool_values = [ic_of_matrix(m) for m in pool]
+    evaluations = len(pool)
     order = np.argsort(pool_values)[::-1]
     best_value = float(pool_values[order[0]])
     best_matrix = pool[order[0]]
     pool_best = best_value
 
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = value_and_grad(x)
+        return -value, -grad
+
     traces: list[float] = []
     dim = chan.params.dim
     exhausted_flags: list[bool] = []
+    converged = 0
     restart_seeds = master.spawn(max(budget.restarts, 0) + 1)[1:]
     seeded_starts = min((budget.restarts + 1) // 2, len(pool))
     for r in range(budget.restarts):
@@ -219,22 +296,14 @@ def qcap_one_shot(
             x0 = to_vector(pool[order[r]])
         else:
             rng = np.random.default_rng(restart_seeds[r])
-            g = rng.normal(size=2 * dim * dim) / math.sqrt(dim)
-            x0 = g
+            x0 = rng.normal(size=2 * dim * dim) / math.sqrt(dim)
         if budget.iterations > 0:
             res = optimize.minimize(
-                lambda x: -from_vector(x),
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": budget.iterations,
-                    "maxfev": 2 * budget.iterations + x0.size + 1,
-                    "adaptive": True,
-                    "xatol": 1e-10,
-                    "fatol": 1e-12,
-                },
+                negated, x0, jac=True, method="L-BFGS-B", options={"maxiter": budget.iterations}
             )
-            exhausted_flags.append(not res.success)
+            evaluations += int(res.nfev)
+            converged += int(res.success)
+            exhausted_flags.append(int(res.nit) >= budget.iterations)
             value = -float(res.fun)
             if value > best_value:
                 best_value = value
@@ -243,28 +312,22 @@ def qcap_one_shot(
 
     if budget.polish_steps > 0:
         x = to_vector(best_matrix)
-        eps = 1e-6
+        _, grad = value_and_grad(x)
+        evaluations += 1
         for _ in range(budget.polish_steps):
-            grad = np.empty_like(x)
-            for k in range(x.size):
-                bump = np.zeros_like(x)
-                bump[k] = eps
-                grad[k] = (from_vector(x + bump) - from_vector(x - bump)) / (2 * eps)
             norm = float(np.linalg.norm(grad))
             if norm < 1e-12:
                 break
-            step_dir = grad / norm
-            improved = False
             for lr in (1e-2, 1e-3, 1e-4, 1e-5):
-                candidate = x + lr * step_dir
-                value = from_vector(candidate)
+                candidate = x + (lr / norm) * grad
+                value, candidate_grad = value_and_grad(candidate)
+                evaluations += 1
                 if value > best_value + 1e-15:
                     best_value = value
                     best_matrix = to_state(candidate)
-                    x = candidate
-                    improved = True
+                    x, grad = candidate, candidate_grad
                     break
-            if not improved:
+            else:
                 break
 
     best_state = DensityMatrix(chan.params, (best_matrix + best_matrix.conj().T) / 2)
@@ -279,6 +342,8 @@ def qcap_one_shot(
         budget=budget,
         budget_exhausted=bool(exhausted_flags) and all(exhausted_flags),
         recomputed_value=recomputed,
+        evaluations=evaluations,
+        restarts_converged=converged,
     )
 
 

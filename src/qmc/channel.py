@@ -46,6 +46,7 @@ CHOI_TP_TOL = 1e-10
 CHANNEL_EQ_TOL = 1e-9
 BRANCH_CUTOFF = 1e-14  # environment eigenvalues below this carry no Stinespring branch
 GATHER_BUDGET = 1 << 18  # elements per gathered factor in one chunk of the channel sum
+MAX_SIDE = 49 * 49  # largest dense reference/output or E x E' side (the dim-49 product environment)
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +94,18 @@ def _gather_sum(rho: np.ndarray, sigma: np.ndarray, i: np.ndarray, j: np.ndarray
     return out
 
 
+def check_side(dim: int, rank: int, intermediate: int) -> None:
+    """Reject a dense side of dim * rank above ``MAX_SIDE`` before anything
+    is allocated; ``intermediate`` counts the elements built on the way."""
+    side = dim * rank
+    if side > MAX_SIDE:
+        need = 16 * (side * side + intermediate)
+        raise ValueError(
+            f"dim {dim} with rank {rank} needs a {side} x {side} matrix ({need / 1e9:.1f} GB with its "
+            f"intermediate); sides above {MAX_SIDE} are not supported"
+        )
+
+
 @dataclass(frozen=True)
 class BeamSplitterChannel:
     """Beam splitter with a fixed environment in the second register."""
@@ -133,11 +146,14 @@ class BeamSplitterChannel:
         The Stinespring amplitudes W[r, a, b, k] = psi[r, I[a, b]] * P[J[a, b], k]
         form a pure state on reference, kept output, traced output and the
         environment purifier; the result is W W^dag over (r, a), of size
-        refs * dim.
+        refs * dim.  Raises ValueError when that side exceeds ``MAX_SIDE``.
         """
         i, j = self.gather_indices(complement)
-        amplitudes = psi[:, i, None] * self.environment_purifier()[j]
-        w = amplitudes.reshape(psi.shape[0] * self.params.dim, -1)
+        purifier = self.environment_purifier()
+        dim, refs = self.params.dim, psi.shape[0]
+        check_side(dim, refs, refs * dim * dim * purifier.shape[1])
+        amplitudes = psi[:, i, None] * purifier[j]
+        w = amplitudes.reshape(refs * dim, -1)
         return w @ w.conj().T
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:

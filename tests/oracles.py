@@ -253,3 +253,14 @@ def stabilizer_weight_bracket(
         y, _, _ = pgd(hi)
         w_hi = certify_upper(y)
     return w_lo, w_hi
+
+
+def ic_gradient_fd(value, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a real vector,
+    one coordinate at a time."""
+    grad = np.empty_like(x)
+    for k in range(x.size):
+        bump = np.zeros_like(x)
+        bump[k] = eps
+        grad[k] = (value(x + bump) - value(x - bump)) / (2 * eps)
+    return grad

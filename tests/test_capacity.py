@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qmc.capacity import (
     CapacityWitness,
     OptimizerBudget,
     VerifyConfig,
+    _objective,
     capacity_witness_construction,
     coherent_information,
     coherent_information_purification,
@@ -22,6 +24,8 @@ from qmc.states import (
     stabilizer_family,
 )
 from qmc.weyl import BSParams, QuditParams
+
+from oracles import ic_gradient_fd
 
 P7 = QuditParams(7)
 BS72 = BSParams(P7, 2, 2)
@@ -95,6 +99,41 @@ class TestCoherentInformation:
         rhs = coherent_information(chan1, rho1) + coherent_information(chan2, rho2)
         assert abs(lhs - rhs) <= 1e-8
 
+    def test_oversized_sides_rejected_up_front(self, rng):
+        # full-rank environment and input at dim 121: the E x E' complement and
+        # the reference/output side would both be 14641 wide (3.4 GB each)
+        params = QuditParams(11, 2)
+        chan = BeamSplitterChannel(BSParams(params, 5, 3), random_density_matrix(params, rng))
+        rho = random_density_matrix(params, rng)
+        for route in (coherent_information, coherent_information_purification):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"dim 121 with rank 121 .* GB"):
+                    route(chan, rho)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * 2**20
+
+
+class TestGradient:
+    @pytest.mark.parametrize(
+        "bs, env_rank",
+        [(BS72, 1), (BS72, 3), (BS72, 7), (BSParams(P7, 2, 5), 1), (BSParams(P7, 2, 5), 3),
+         (BSParams(P7, 2, 5), 7), (BS13, 1)],
+        ids=["d7-22-r1", "d7-22-r3", "d7-22-r7", "d7-25-r1", "d7-25-r3", "d7-25-r7", "d13-26-r1"],
+    )
+    def test_matches_central_differences(self, rng, bs, env_rank):
+        chan = channel(bs, random_density_matrix(bs.params, rng, rank=env_rank))
+        ic_of_matrix, value_and_grad, _, to_state = _objective(chan)
+        dim = bs.params.dim
+        for _ in range(2):
+            x = rng.normal(size=2 * dim * dim)
+            value, grad = value_and_grad(x)
+            assert value == pytest.approx(ic_of_matrix(to_state(x)), abs=1e-12)
+            reference = ic_gradient_fd(lambda y: ic_of_matrix(to_state(y)), x)
+            assert np.max(np.abs(grad - reference)) <= 1e-6
+
 
 class TestWitnessConstruction:
     def test_unequal_squares_case(self):
@@ -144,6 +183,25 @@ class TestOptimizer:
         env = preset_state("uniform-01", P13)
         report = qcap_one_shot(channel(BS13, env), SMALL, seed=5)
         assert report.best_value >= 0.5 - 1e-6
+
+    def test_random_full_rank_environments_reach_zero(self, rng):
+        # pure inputs give I_c = 0, so the one-shot capacity is never negative
+        for k in range(3):
+            env = random_density_matrix(P7, rng)
+            report = qcap_one_shot(channel(BS72, env), SMALL, seed=20 + k)
+            assert report.best_value >= -1e-9
+
+    def test_counters_reported(self, rng):
+        env = random_density_matrix(P7, rng)
+        report = qcap_one_shot(channel(BS72, env), SMALL, seed=3)
+        payload = report.to_dict()
+        pool = 1 + SMALL.pool_pairs + SMALL.pool_random
+        assert payload["evaluations"] == report.evaluations > pool + SMALL.restarts
+        assert payload["restarts_converged"] == report.restarts_converged
+        assert 0 < report.restarts_converged <= SMALL.restarts
+        assert payload["budget_exhausted"] is False
+        starved = qcap_one_shot(channel(BS72, env), OptimizerBudget(restarts=2, iterations=1), seed=3)
+        assert starved.budget_exhausted is True
 
     def test_symmetric_environment_stays_flat(self):
         env = preset_state("symmetric-pm1", P7)
