@@ -1,9 +1,6 @@
 """Discrete beam-splitter channels on prime-dimensional qudits."""
 
 from .linalg import (
-    Spectrum,
-    eig_hermitian,
-    max_relative_entropy,
     partial_trace,
     relative_entropy,
     tensor,
@@ -26,7 +23,6 @@ from .states import (
     DensityMatrix,
     PurifiedState,
     StabilizerFamily,
-    dephasing_channel,
     enumerate_stabilizers,
     is_phase_inversion_symmetric,
     mean_state,

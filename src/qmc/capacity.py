@@ -112,7 +112,7 @@ def coherent_information(chan: BeamSplitterChannel, rho: DensityMatrix) -> float
     One route for every environment: S(channel output) - S(complement output
     on the traced register and the environment purifier).
     """
-    return _ic_matrix_fn(chan)(rho.matrix)
+    return chan.ic_evaluator(rho.matrix)
 
 
 def coherent_information_purification(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:
@@ -190,7 +190,7 @@ def _objective(chan: BeamSplitterChannel):
     2 Im(B G).  Returns ``(ic_of_matrix, value_and_grad, to_vector, to_state)``.
     """
     dim = chan.params.dim
-    ic_of_matrix = _ic_matrix_fn(chan)
+    ic_of_matrix = chan.ic_evaluator
 
     def to_matrix(x: np.ndarray) -> np.ndarray:
         return x[: dim * dim].reshape(dim, dim) + 1j * x[dim * dim :].reshape(dim, dim)

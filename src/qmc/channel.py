@@ -20,7 +20,7 @@ environment purified as sigma = P P^dag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,6 +134,14 @@ class BeamSplitterChannel:
         vals, vecs = np.linalg.eigh(self.environment.matrix)
         keep = vals > BRANCH_CUTOFF
         return vecs[:, keep] * np.sqrt(vals[keep])
+
+    @cached_property
+    def ic_evaluator(self):
+        """The channel's coherent-information evaluator on raw matrices
+        (``capacity._ic_matrix_fn``), built on first use and kept."""
+        from .capacity import _ic_matrix_fn  # capacity imports this module
+
+        return _ic_matrix_fn(self)
 
     def apply_matrix(self, rho_matrix: np.ndarray, complement: bool = False) -> np.ndarray:
         """Channel action on a raw matrix; no state validation (hot path)."""
@@ -351,11 +359,3 @@ def degradation_witness(
         ),
     )
 
-
-def choi_from_kraus(kraus: list[np.ndarray], input_dim: int) -> ChoiMatrix:
-    out_dim = kraus[0].shape[0]
-    total = np.zeros((input_dim * out_dim, input_dim * out_dim), dtype=complex)
-    for k in kraus:
-        w = (k.T / np.sqrt(input_dim)).reshape(-1)  # [r, o] = k[o, r] / sqrt(d_in)
-        total += np.outer(w, w.conj())
-    return ChoiMatrix(input_dim, out_dim, total)

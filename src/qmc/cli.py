@@ -3,7 +3,8 @@
 Every command emits a JSON report {inputs_echo, results, seed, version,
 wall_time_ms}; tabular outputs (parameter listings, contraction traces) can
 switch to CSV.  Exit codes: 0 success, 1 a verified claim failed, 2 bad
-configuration.  QMC_THREADS caps worker threads for the sweep-style suites.
+configuration.  QMC_THREADS above 1 runs the sweep-style suites on that many
+worker threads; they run serially by default.
 """
 
 from __future__ import annotations

@@ -8,41 +8,17 @@ base 2.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
 SUPPORT_CUTOFF = 1e-10
 NEGATIVE_EIG_TOL = 1e-9
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition with eigenvalues sorted in descending order."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
 
 
 def as_matrix(obj) -> np.ndarray:
     """Accept a raw ndarray or any object carrying a ``.matrix`` attribute."""
     return np.asarray(getattr(obj, "matrix", obj), dtype=complex)
-
-
-def eig_hermitian(matrix) -> Spectrum:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending.
-
-    Raises ValueError on non-square or non-Hermitian input (defect above
-    ``HERMITIAN_TOL``).
-    """
-    m = as_matrix(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh(m)
-    return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 def tensor(*factors) -> np.ndarray:
@@ -111,12 +87,14 @@ def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a density matrix, with 0*log(0) = 0.
 
     Raises ValueError when an eigenvalue falls below ``-NEGATIVE_EIG_TOL``.
+    Called twice per coherent-information evaluation, so it does nothing
+    beyond the eigensolve and one sum.
     """
-    m = as_matrix(rho)
-    vals = np.linalg.eigvalsh(m)
-    if vals.min(initial=0.0) < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {vals.min():.3e}")
-    return shannon_entropy(np.clip(vals, 0.0, None))
+    vals = np.linalg.eigvalsh(as_matrix(rho))  # ascending
+    if vals[0] < -NEGATIVE_EIG_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
+    vals = vals[vals > 0.0]
+    return float(-np.sum(vals * np.log2(vals)))
 
 
 def _support_split(sigma_matrix: np.ndarray):
@@ -152,27 +130,6 @@ def relative_entropy(rho, sigma) -> float:
             raise ValueError(f"relative entropy came out negative ({value:.3e})")
         value = 0.0
     return value
-
-
-def max_relative_entropy(rho, sigma) -> float:
-    """Max-relative entropy D_inf(rho||sigma) = log2 min{l : rho <= l*sigma}.
-
-    Computed as the top eigenvalue of the support-restricted operator
-    sigma^{-1/2} rho sigma^{-1/2}; +inf on support mismatch.
-    """
-    r = as_matrix(rho)
-    s = as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch {r.shape} vs {s.shape}")
-    svals, son, soff = _support_split(s)
-    if soff.shape[1]:
-        outside = float(np.real(np.einsum("ij,jk,ik->", soff.conj().T, r, soff.T)))
-        if outside > 1e-9:
-            return math.inf
-    inv_sqrt = son * (svals**-0.5)
-    middle = inv_sqrt.conj().T @ r @ inv_sqrt
-    top = float(np.linalg.eigvalsh(middle)[-1])
-    return math.log2(max(top, 1e-300))
 
 
 def frobenius_distance(a, b) -> float:

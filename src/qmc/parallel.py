@@ -1,4 +1,9 @@
-"""Thread-pool helper for batch sweeps; QMC_THREADS caps the worker count."""
+"""Thread-pool helper for batch sweeps.
+
+Serial unless QMC_THREADS asks for more than one worker: the sweeps run
+mostly Python and small matrix work that holds the interpreter lock, so a
+pool of threads makes them slower, not faster.
+"""
 
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ def max_workers() -> int:
         if value < 1:
             raise ValueError(f"QMC_THREADS={value} must be positive")
         return value
-    return os.cpu_count() or 1
+    return 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:

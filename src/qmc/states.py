@@ -1,9 +1,8 @@
 """State construction and the stabilizer universe.
 
 Density matrices, named preset states, enumeration of the minimal
-stabilizer-projection family, mean states, purification, group dephasing,
-phase-space inversion symmetry, random state sampling, and the JSON state
-file format.
+stabilizer-projection family, mean states, purification, phase-space
+inversion symmetry, random state sampling, and the JSON state file format.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from .weyl import (
     characteristic_function,
     inverse_weyl_transform,
     parity_operator,
-    monomial_conjugate,
-    symplectic_form,
-    weyl_action,
     clifford_from_word,
     random_clifford,
+    _digit_table,
+    _weyl_monomials,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -198,19 +196,23 @@ class StabilizerFamily:
 
 
 def _materialize_member(params: QuditParams, member: StabilizerMember) -> DensityMatrix:
-    """Build (1/d^n) sum over the generated group of char-weighted Weyl terms."""
-    d, dim = params.d, params.dim
+    """(1/d^n) sum over the generated group of conj(char) w(label).
+
+    The member's characteristic table is supported on the d^rank labels of
+    its group, so its inverse Weyl transform is a sum of d^rank monomials:
+    one scatter-add of d^rank * d^n terms, in group order, in place of the
+    dense transform's d^{3n} work.
+    """
+    d, n, dim = params.d, params.n, params.dim
+    ks = _digit_table(d, member.rank)  # [element, generator] exponents
+    gens = np.array([[*g.p, *g.q] for g, _ in member.generators], dtype=np.int64).reshape(-1, 2 * n)
+    chars = np.ones(len(ks), dtype=complex)
+    for i, (_, char) in enumerate(member.generators):
+        chars = chars * char ** ks[:, i]
+    labels = (ks @ gens) % d
+    rows, phases = _weyl_monomials(params, labels[:, :n], labels[:, n:])
     out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    exponents = np.ndindex(*([d] * member.rank)) if member.rank else [()]
-    for ks in exponents:
-        label = WeylIndex.zero(params)
-        char = 1.0 + 0j
-        for k, (gen_label, gen_char) in zip(ks, member.generators):
-            label = label.add(gen_label.scale(k, d), d)
-            char *= gen_char**k
-        rows, phases = weyl_action(params, label)
-        out[rows, cols] += np.conj(char) * phases
+    np.add.at(out, (rows, np.broadcast_to(np.arange(dim), rows.shape)), chars.conj()[:, None] * phases)
     return DensityMatrix(params, out / dim)
 
 
@@ -276,8 +278,6 @@ def pure_stabilizer_projectors(params: QuditParams) -> np.ndarray:
 
 def _primitive_points(d: int, n: int) -> list[tuple[int, ...]]:
     """One representative per line through the origin of Z_d^{2n}."""
-    from .weyl import _digit_table  # reuse cached digit machinery
-
     digits = _digit_table(d, 2 * n)
     reps = []
     seen = set()
@@ -379,7 +379,7 @@ def _family_from_arrays(params: QuditParams, gens, chars, ranks) -> StabilizerFa
 
 
 # ---------------------------------------------------------------------------
-# Mean state, purification, dephasing, symmetry
+# Mean state, purification, symmetry
 # ---------------------------------------------------------------------------
 
 
@@ -421,35 +421,6 @@ def purify(rho: DensityMatrix) -> PurifiedState:
     vec = joint.reshape(-1)
     vec = vec / np.linalg.norm(vec)
     return PurifiedState(rho.params, rank, vec)
-
-
-def dephasing_channel(generators: Sequence[WeylIndex], rho: DensityMatrix) -> DensityMatrix:
-    """Average of conjugations over the abelian Weyl group the labels generate.
-
-    Raises ValueError when two generators fail to commute (nonzero symplectic
-    form).
-    """
-    params = rho.params
-    d = params.d
-    for i, a in enumerate(generators):
-        for b in generators[i + 1 :]:
-            form = symplectic_form(a, b, d)
-            if form != 0:
-                raise ValueError(f"generators {a} and {b} do not commute (form {form})")
-    group: set[WeylIndex] = {WeylIndex.zero(params)}
-    frontier = list(group)
-    while frontier:
-        label = frontier.pop()
-        for g in generators:
-            new = label.add(g, d)
-            if new not in group:
-                group.add(new)
-                frontier.append(new)
-    acc = np.zeros_like(rho.matrix)
-    for label in group:
-        rows, phases = weyl_action(params, label)
-        acc += monomial_conjugate(rho.matrix, rows, phases)
-    return DensityMatrix(params, acc / len(group))
 
 
 def is_phase_inversion_symmetric(rho: DensityMatrix, tol: float = 1e-9) -> bool:

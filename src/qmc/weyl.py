@@ -15,13 +15,20 @@ Conventions, fixed once here and relied on everywhere else:
 * n-qudit Weyl operators are tensor products of the locals; a phase-space
   point is a pair of length-n vectors over Z_d.
 * The characteristic function of a state is ``Xi(x) = Tr[rho w(-x)]``.
+
+The phase-space transforms never loop over points.  For a fixed shift q,
+``Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j+q, j]`` is one DFT over Z_d^n
+of the q-th shifted diagonal of rho, so the whole table is one matrix
+product with the cached DFT matrix.  The inverse transform runs the inverse
+DFT and scatters the diagonals back; the Wigner table is the symplectic
+Fourier transform of Xi, two more DFT products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,14 +116,6 @@ class WeylIndex:
         )
 
 
-def symplectic_form(x: WeylIndex, y: WeylIndex, d: int) -> int:
-    """[x, y] = p_x . q_y - p_y . q_x mod d; w(x) w(y) = w^{[x,y]} w(y) w(x)."""
-    acc = 0
-    for px, qx, py, qy in zip(x.p, x.q, y.p, y.q):
-        acc += px * qy - py * qx
-    return acc % d
-
-
 @lru_cache(maxsize=None)
 def _digit_table(d: int, n: int) -> np.ndarray:
     """Base-d digits (most significant first) of 0..d^n-1; treat as read-only."""
@@ -144,44 +143,29 @@ def scale_indices(d: int, n: int, k: int) -> np.ndarray:
     return table @ _powers(d, n)
 
 
-@lru_cache(maxsize=None)
-def _shift_indices(d: int, n: int, shift_enc: int) -> np.ndarray:
-    """Index map enc(v) -> enc(v + shift mod d); read-only."""
-    shift = _digit_table(d, n)[shift_enc]
-    table = (_digit_table(d, n) + shift) % d
-    return table @ _powers(d, n)
-
-
-def phase_space_points(params: QuditParams) -> Iterator[WeylIndex]:
-    """All d^{2n} phase-space points, row-major in (enc(p), enc(q))."""
-    digits = _digit_table(params.d, params.n)
-    for pe in range(params.dim):
-        p = tuple(int(v) for v in digits[pe])
-        for qe in range(params.dim):
-            yield WeylIndex(p, tuple(int(v) for v in digits[qe]))
-
-
 def flat_index(params: QuditParams, x: WeylIndex) -> tuple[int, int]:
     return encode_digits(params, x.p), encode_digits(params, x.q)
+
+
+def _weyl_monomials(params: QuditParams, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial forms of a stack of Weyl operators w(p[g], q[g]), with p and q
+    of shape (count, n): w|k> = phases[g, k] |rows[g, k]>."""
+    params.require_odd()
+    d, n = params.d, params.n
+    shifted = _digit_table(d, n) + q[:, None, :]  # w(p, q)|k> lands on |k + q>
+    # exponent of w per basis ket: sum_i p_i (k_i + q_i) - h p_i q_i (mod d)
+    expo = (shifted * p[:, None, :]).sum(-1) - params.half * (p * q).sum(-1)[:, None]
+    omega = np.exp(2j * np.pi / d)
+    return (shifted % d) @ _powers(d, n), omega ** (expo % d)
 
 
 def weyl_action(params: QuditParams, x: WeylIndex) -> tuple[np.ndarray, np.ndarray]:
     """Monomial form of w(x): w(x)|k> = phases[k] |rows[k]>.
 
-    Returns (rows, phases) with rows a permutation of 0..dim-1.  This is the
-    cheap representation used by every bulk phase-space computation.
+    Returns (rows, phases) with rows a permutation of 0..dim-1.
     """
-    params.require_odd()
-    d, n = params.d, params.n
-    digits = _digit_table(d, n)
-    q_enc = encode_digits(params, x.q)
-    rows = _shift_indices(d, n, q_enc)
-    # exponent of w per basis ket: sum_i p_i (k_i + q_i) - h p_i q_i (mod d)
-    p = np.asarray(x.p, dtype=np.int64)
-    q = np.asarray(x.q, dtype=np.int64)
-    expo = (digits + q) @ p - params.half * int(p @ q)
-    omega = np.exp(2j * np.pi / d)
-    return rows, omega ** (expo % d)
+    rows, phases = _weyl_monomials(params, np.array([x.p]), np.array([x.q]))
+    return rows[0], phases[0]
 
 
 def weyl_operator(params: QuditParams, x: WeylIndex) -> np.ndarray:
@@ -219,38 +203,50 @@ class CharacteristicTable:
         return self.values[np.ix_(idx, idx)]
 
 
+@lru_cache(maxsize=None)
+def _dft_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(add, dft, twist) over Z_d^n on flat encodings; read-only.
+
+    ``add[j, q] = enc(j + q)``, ``dft[p, j] = w^{-p.j}`` and
+    ``twist[p, q] = w^{-h p.q}``.
+    """
+    digits = _digit_table(d, n)
+    add = ((digits[:, None, :] + digits[None, :, :]) % d) @ _powers(d, n)
+    dot = digits @ digits.T
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    dft, twist = roots[-dot % d], roots[(-((d + 1) // 2) * dot) % d]
+    for table in (add, dft, twist):
+        table.flags.writeable = False
+    return add, dft, twist
+
+
+def _characteristic_values(params: QuditParams, m: np.ndarray) -> np.ndarray:
+    """Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j + q, j]: for each shift q,
+    one DFT of the q-th shifted diagonal of rho."""
+    params.require_odd()
+    add, dft, twist = _dft_tables(params.d, params.n)
+    return twist * (dft @ m[add, np.arange(params.dim)[:, None]])
+
+
 def characteristic_function(rho) -> CharacteristicTable:
     """Characteristic table of a state (anything with .params and .matrix)."""
-    params: QuditParams = rho.params
     m = np.asarray(rho.matrix, dtype=complex)
-    dim = params.dim
-    cols = np.arange(dim)
-    values = np.empty((dim, dim), dtype=complex)
-    digits = _digit_table(params.d, params.n)
-    for pe in range(dim):
-        p = tuple(int(v) for v in digits[pe])
-        for qe in range(dim):
-            x = WeylIndex(p, tuple(int(v) for v in digits[qe]))
-            rows, phases = weyl_action(params, x.neg(params.d))
-            # Tr[rho w] for monomial w = sum_k phases[k] |rows[k]><k|
-            values[pe, qe] = np.sum(phases * m[cols, rows])
-    return CharacteristicTable(params, values)
+    return CharacteristicTable(rho.params, _characteristic_values(rho.params, m))
 
 
 def inverse_weyl_transform(table: CharacteristicTable) -> np.ndarray:
-    """Reconstruct the operator (1/d^n) sum_x Xi(x) w(x) from its table."""
+    """Reconstruct the operator (1/d^n) sum_x Xi(x) w(x) from its table.
+
+    Undoes ``characteristic_function`` shift by shift: the inverse DFT of
+    column q is the q-th shifted diagonal.
+    """
     params = table.params
+    params.require_odd()
+    add, dft, twist = _dft_tables(params.d, params.n)
     dim = params.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    digits = _digit_table(params.d, params.n)
-    for pe in range(dim):
-        p = tuple(int(v) for v in digits[pe])
-        for qe in range(dim):
-            x = WeylIndex(p, tuple(int(v) for v in digits[qe]))
-            rows, phases = weyl_action(params, x)
-            out[rows, cols] += table.values[pe, qe] * phases
-    return out / dim
+    out = np.empty((dim, dim), dtype=complex)
+    out[add, np.arange(dim)[:, None]] = dft.conj() @ (twist.conj() * table.values) / dim
+    return out
 
 
 def parity_operator(params: QuditParams) -> np.ndarray:
@@ -275,24 +271,15 @@ def phase_point_operator(params: QuditParams, x: WeylIndex) -> np.ndarray:
 def wigner_function(rho) -> np.ndarray:
     """Raw discrete Wigner table W(x) = Tr[rho A(x)]; sums to d^n.
 
-    Divide by d^n for the quasi-probability normalization.  Raises if the
-    imaginary residue exceeds 1e-10 (the exact value is real).
+    Computed as the symplectic Fourier transform of the characteristic
+    table, W(u) = (1/d^n) sum_v w^{-[u, v]} Xi(v).  Divide by d^n for the
+    quasi-probability normalization.  Raises if the imaginary residue
+    exceeds 1e-10 (the exact value is real).
     """
     params: QuditParams = rho.params
-    params.require_odd()
-    m = np.asarray(rho.matrix, dtype=complex)
-    dim = params.dim
-    neg = scale_indices(params.d, params.n, params.d - 1)
-    values = np.empty((dim, dim), dtype=complex)
-    digits = _digit_table(params.d, params.n)
-    ar = np.arange(dim)
-    for pe in range(dim):
-        p = tuple(int(v) for v in digits[pe])
-        for qe in range(dim):
-            x = WeylIndex(p, tuple(int(v) for v in digits[qe]))
-            rows, phases = weyl_action(params, x)
-            # Tr[rho w A0 w^dag] = sum_a conj(ph[a]) ph[neg a] rho[rows[a], rows[neg a]]
-            values[pe, qe] = np.sum(phases.conj() * phases[neg] * m[rows, rows[neg]])
+    xi = _characteristic_values(params, np.asarray(rho.matrix, dtype=complex))
+    _, dft, _ = _dft_tables(params.d, params.n)
+    values = dft @ xi.T @ dft.conj() / params.dim
     residue = float(np.max(np.abs(values.imag)))
     if residue > 1e-10:
         raise ValueError(f"Wigner table has imaginary residue {residue:.3e}")

@@ -8,8 +8,68 @@ the library code paths it checks.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from qmc.weyl import WeylIndex, weyl_action
+
+
+class Spectrum(NamedTuple):
+    """Eigendecomposition with eigenvalues sorted in descending order."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
+
+
+def eig_hermitian(matrix: np.ndarray, tol: float = 1e-10) -> Spectrum:
+    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+
+    Raises ValueError on non-square or non-Hermitian input (defect above
+    ``tol``).
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if defect > tol:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    vals, vecs = np.linalg.eigh(m)
+    return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
+
+
+def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray, cutoff: float = 1e-10) -> float:
+    """D_inf(rho||sigma) = log2 min{l : rho <= l*sigma}, in closed form: the
+    top eigenvalue of sigma^{-1/2} rho sigma^{-1/2} on the support of sigma
+    (eigenvalues above ``cutoff``); +inf when rho leaks outside it."""
+    svals, svecs = np.linalg.eigh(sigma)
+    on = svals > cutoff
+    off = svecs[:, ~on]
+    if off.shape[1] and float(np.real(np.trace(off.conj().T @ rho @ off))) > 1e-9:
+        return math.inf
+    inv_sqrt = svecs[:, on] * svals[on] ** -0.5
+    top = float(np.linalg.eigvalsh(inv_sqrt.conj().T @ rho @ inv_sqrt)[-1])
+    return math.log2(max(top, 1e-300))
+
+
+def choi_from_kraus(kraus: list[np.ndarray], input_dim: int) -> np.ndarray:
+    """Choi matrix sum_k |K_k>><<K_k| / d_in of a Kraus list, indexed [(r, o), (r', o')]."""
+    vecs = np.stack([(k.T / np.sqrt(input_dim)).reshape(-1) for k in kraus])  # [k, (r, o)]
+    return vecs.T @ vecs.conj()
+
+
+def group_dephasing(rho: np.ndarray, generators: list[np.ndarray], order: int) -> np.ndarray:
+    """Average of U rho U^dag over every product of powers (0..order-1) of
+    the generators; raises ValueError when two generators do not commute."""
+    for i, a in enumerate(generators):
+        for b in generators[i + 1 :]:
+            if np.max(np.abs(a @ b - b @ a)) > 1e-12:
+                raise ValueError("generators do not commute")
+    elements = [np.eye(rho.shape[0], dtype=complex)]
+    for g in generators:
+        powers = [np.linalg.matrix_power(g, k) for k in range(order)]
+        elements = [u @ e for e in elements for u in powers]
+    return sum(u @ rho @ u.conj().T for u in elements) / len(elements)
 
 
 def partial_trace_loop(matrix: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -118,6 +178,63 @@ def classify_weyl_image(conjugated: np.ndarray, weyl_ops: dict) -> tuple | None:
     if abs(abs(coeff) - 1.0) > 1e-9:
         return None
     return label, coeff
+
+
+# ---------------------------------------------------------------------------
+# Phase-space transforms, one Weyl monomial per point (the library's
+# weyl_action), in place of its DFT kernel
+# ---------------------------------------------------------------------------
+
+
+def _digit_rows(params) -> np.ndarray:
+    """Base-d digits of 0..d^n-1, most significant first, one row each."""
+    return np.stack(np.unravel_index(np.arange(params.dim), (params.d,) * params.n), axis=1)
+
+
+def _phase_space_labels(params):
+    """Every phase-space point as (enc(p), enc(q), WeylIndex), row-major."""
+    digits = [tuple(int(v) for v in row) for row in _digit_rows(params)]
+    for pe, p in enumerate(digits):
+        for qe, q in enumerate(digits):
+            yield pe, qe, WeylIndex(p, q)
+
+
+def characteristic_value(params, m: np.ndarray, x) -> complex:
+    """Xi(x) = Tr[rho w(-x)] at one point."""
+    rows, phases = weyl_action(params, x.neg(params.d))
+    # Tr[rho w] for monomial w = sum_k phases[k] |rows[k]><k|
+    return np.sum(phases * m[np.arange(params.dim), rows])
+
+
+def characteristic_function_loop(params, m: np.ndarray) -> np.ndarray:
+    """The characteristic table [enc(p), enc(q)], point by point."""
+    values = np.empty((params.dim, params.dim), dtype=complex)
+    for pe, qe, x in _phase_space_labels(params):
+        values[pe, qe] = characteristic_value(params, m, x)
+    return values
+
+
+def inverse_weyl_transform_loop(params, values: np.ndarray) -> np.ndarray:
+    """(1/d^n) sum_x Xi(x) w(x), one monomial at a time."""
+    dim = params.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for pe, qe, x in _phase_space_labels(params):
+        rows, phases = weyl_action(params, x)
+        out[rows, cols] += values[pe, qe] * phases
+    return out / dim
+
+
+def wigner_function_loop(params, m: np.ndarray) -> np.ndarray:
+    """W(x) = Tr[rho w(x) A0 w(x)^dag] point by point, complex (no residue check)."""
+    shape = (params.d,) * params.n
+    neg = np.ravel_multi_index(tuple((-_digit_rows(params) % params.d).T), shape)
+    values = np.empty((params.dim, params.dim), dtype=complex)
+    for pe, qe, x in _phase_space_labels(params):
+        rows, phases = weyl_action(params, x)
+        # Tr[rho w A0 w^dag] = sum_a conj(ph[a]) ph[neg a] rho[rows[a], rows[neg a]]
+        values[pe, qe] = np.sum(phases.conj() * phases[neg] * m[rows, rows[neg]])
+    return values
 
 
 def symplectic_ft_wigner(rho: np.ndarray, d: int, n: int, char_fn) -> np.ndarray:

@@ -60,6 +60,22 @@ class TestCoherentInformation:
                 rho = random_density_matrix(P7, rng)
                 assert coherent_information(chan, rho) <= 1e-9
 
+    def test_evaluator_built_once_per_channel(self, rng, monkeypatch):
+        calls = []
+        original = BeamSplitterChannel.environment_purifier
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(BeamSplitterChannel, "environment_purifier", counting)
+        chan = channel(BS72, random_density_matrix(P7, rng))
+        first, second = random_density_matrix(P7, rng), random_density_matrix(P7, rng)
+        values = [coherent_information(chan, first), coherent_information(chan, second)]
+        assert len(calls) == 1
+        fresh = channel(BS72, chan.environment)
+        assert values == [coherent_information(fresh, first), coherent_information(fresh, second)]
+
     def test_two_routes_agree_on_pure_environments(self, rng):
         # with a pure environment the complement output is the Stinespring
         # environment, so the cheap route must match the purification route

@@ -9,7 +9,6 @@ from qmc.channel import (
     BeamSplitterChannel,
     ChoiMatrix,
     beam_splitter_permutation,
-    choi_from_kraus,
     complement_identity_check,
     convolve,
     convolve_complement,
@@ -38,7 +37,7 @@ from qmc.weyl import (
     wigner_function,
 )
 
-from oracles import beam_splitter_unitary, channel_oracle, stinespring_isometry
+from oracles import beam_splitter_unitary, channel_oracle, choi_from_kraus, stinespring_isometry
 
 P7 = QuditParams(7)
 BS72 = BSParams(P7, 2, 2)
@@ -293,7 +292,7 @@ class TestChoi:
         kraus = [v.reshape(7, 7, 7)[a] for a in range(7)]  # <a|_out-A blocks on B
         via_kraus = choi_from_kraus(kraus, 7)
         direct = chan.choi(complement=True)
-        assert frobenius_distance(via_kraus.matrix, direct.matrix) <= 1e-11
+        assert frobenius_distance(via_kraus, direct.matrix) <= 1e-11
 
     def test_choi_validation_rejects_bad_matrix(self):
         with pytest.raises(ValueError, match="negative"):

@@ -183,6 +183,14 @@ class TestVerifyCommand:
 
 
 class TestThreadCap:
+    def test_serial_by_default(self, monkeypatch):
+        from qmc.parallel import max_workers
+
+        monkeypatch.delenv("QMC_THREADS", raising=False)
+        assert max_workers() == 1
+        monkeypatch.setenv("QMC_THREADS", " ")
+        assert max_workers() == 1
+
     def test_env_var_caps_workers(self, monkeypatch):
         from qmc.parallel import max_workers, parallel_map
 

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmc.linalg import (
-    eig_hermitian,
     frobenius_distance,
-    max_relative_entropy,
     partial_trace,
     relative_entropy,
     tensor,
     von_neumann_entropy,
 )
 
-from oracles import dinf_bisection, partial_trace_loop
+from oracles import dinf_bisection, eig_hermitian, max_relative_entropy, partial_trace_loop
 
 
 def random_hermitian(rng, size):

@@ -27,7 +27,7 @@ from qmc.states import (
 )
 from qmc.weyl import QuditParams, WeylIndex
 
-from oracles import stabilizer_weight_bracket
+from oracles import max_relative_entropy, stabilizer_weight_bracket
 
 P7 = QuditParams(7)
 
@@ -126,6 +126,14 @@ class TestMrmInf:
         value = mrm_inf(rho)
         w_lo, w_hi = stabilizer_weight_bracket(rho.matrix, pure_stabilizer_projectors(P7))
         assert math.log2(w_lo) - 1e-4 <= value <= math.log2(w_hi) + 1e-4
+
+    def test_below_dmax_to_every_member(self, rng):
+        # each enumerated member lies in the hull, so D_inf to it bounds mrm_inf
+        rho = random_density_matrix(P7, rng, rank=2)
+        family = stabilizer_family(P7)
+        bound = min(max_relative_entropy(rho.matrix, family.state_at(i).matrix) for i in range(len(family)))
+        assert math.isfinite(bound)
+        assert mrm_inf(rho) <= bound + 1e-9
 
     def test_displacement_invariance(self, rng):
         rho = random_density_matrix(P7, rng, rank=2)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmc.states import DensityMatrix, random_density_matrix, random_pure_state
 from qmc.weyl import (
@@ -23,7 +25,14 @@ from qmc.weyl import (
     wigner_function,
 )
 
-from oracles import classify_weyl_image, symplectic_ft_wigner
+from oracles import (
+    characteristic_function_loop,
+    characteristic_value,
+    classify_weyl_image,
+    inverse_weyl_transform_loop,
+    symplectic_ft_wigner,
+    wigner_function_loop,
+)
 
 P7 = QuditParams(7)
 OMEGA7 = np.exp(2j * np.pi / 7)
@@ -207,6 +216,58 @@ class TestWigner:
 
             oracle = symplectic_ft_wigner(rho.matrix, 5, 1, char_fn)
             assert np.max(np.abs(wigner_function(rho) - oracle)) <= 1e-9
+
+
+KERNEL_LAYOUTS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2)]  # d^n = 3 .. 49
+
+
+class TestDftKernel:
+    @settings(max_examples=40)
+    @given(st.sampled_from(KERNEL_LAYOUTS), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracles(self, layout, pure, seed):
+        params = QuditParams(*layout)
+        rng = np.random.default_rng(seed)
+        rho = random_pure_state(params, rng) if pure else random_density_matrix(params, rng)
+        table = characteristic_function(rho)
+        looped = characteristic_function_loop(params, rho.matrix)
+        assert np.max(np.abs(table.values - looped)) <= 1e-12
+        back = inverse_weyl_transform(CharacteristicTable(params, looped))
+        assert np.max(np.abs(back - inverse_weyl_transform_loop(params, looped))) <= 1e-12
+        assert np.max(np.abs(wigner_function(rho) - wigner_function_loop(params, rho.matrix))) <= 1e-12
+
+    def test_dim343_bounded_memory(self, rng):
+        params = QuditParams(7, 3)
+        rho = random_density_matrix(params, rng)
+        tracemalloc.start()
+        try:
+            table = characteristic_function(rho)
+            back = inverse_weyl_transform(table)
+            wigner = wigner_function(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert np.max(np.abs(back - rho.matrix)) <= 1e-10
+        assert abs(wigner.sum() - params.dim) <= 1e-10
+        for pe, qe in rng.integers(0, params.dim, size=(16, 2)):
+            digits = [np.unravel_index(v, (7, 7, 7)) for v in (pe, qe)]
+            x = WeylIndex.make(params, digits[0], digits[1])
+            assert abs(table.values[pe, qe] - characteristic_value(params, rho.matrix, x)) <= 1e-12
+
+    def test_wigner_imaginary_residue_rejected(self):
+        # |0><1| is no state: its Wigner table is complex
+        off_diagonal = SimpleNamespace(params=P7, matrix=np.outer(np.eye(7)[0], np.eye(7)[1]))
+        with pytest.raises(ValueError, match="imaginary residue"):
+            wigner_function(off_diagonal)
+
+    def test_d2_rejected(self):
+        params = QuditParams(2)
+        rho = DensityMatrix(params, np.eye(2) / 2)
+        for transform in (characteristic_function, wigner_function):
+            with pytest.raises(ValueError, match="d=2"):
+                transform(rho)
+        with pytest.raises(ValueError, match="d=2"):
+            inverse_weyl_transform(CharacteristicTable(params, np.eye(2, dtype=complex)))
 
 
 class TestValidStPairs:
