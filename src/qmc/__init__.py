@@ -21,13 +21,11 @@ from .weyl import (
 )
 from .states import (
     DensityMatrix,
-    PurifiedState,
     StabilizerFamily,
     enumerate_stabilizers,
     is_phase_inversion_symmetric,
     mean_state,
     preset_state,
-    purify,
     read_state,
     write_state,
 )

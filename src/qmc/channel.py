@@ -19,6 +19,7 @@ environment purified as sigma = P P^dag.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -138,10 +139,12 @@ class BeamSplitterChannel:
     @cached_property
     def ic_evaluator(self):
         """The channel's coherent-information evaluator on raw matrices
-        (``capacity._ic_matrix_fn``), built on first use and kept."""
+        (``capacity._ic_matrix_fn``), built on first use and kept.  It holds
+        the channel through a weak proxy, so caching it here makes no
+        reference cycle and a dropped channel is freed at once."""
         from .capacity import _ic_matrix_fn  # capacity imports this module
 
-        return _ic_matrix_fn(self)
+        return _ic_matrix_fn(weakref.proxy(self))
 
     def apply_matrix(self, rho_matrix: np.ndarray, complement: bool = False) -> np.ndarray:
         """Channel action on a raw matrix; no state validation (hot path)."""

@@ -8,7 +8,9 @@ Two relative-entropy-of-magic routes are kept deliberately separate:
 
 The max-relative monotone ``mrm_inf`` minimizes over the convex hull of the
 pure stabilizer states instead, via a cone program solved by cutting planes
-over an in-repo dense-tableau simplex (Bland's rule for anti-cycling).
+over an in-repo dense-tableau simplex (Bland's rule for anti-cycling).  Cuts
+are only appended, so each round warm-starts the simplex from the previous
+round's optimal basis.
 """
 
 from __future__ import annotations
@@ -77,15 +79,35 @@ class SimplexResult:
     objective: float
     dual: np.ndarray  # multipliers of the <= rows, read from slack reduced costs
     pivots: int
+    basis: np.ndarray  # basic variable of each row: column j of A, or -1 - i for row i's slack
 
 
-def simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, max_pivots: int = 200000) -> SimplexResult:
+def _rebased(tab: np.ndarray, cols: list[int]) -> np.ndarray | None:
+    """The tableau re-expressed in basis ``cols`` (one solve on the basis
+    columns), or None when that basis is singular or primal-infeasible."""
+    m = tab.shape[0] - 1
+    try:
+        body = np.linalg.solve(tab[:m, cols], tab[:m])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(body)) or body[:, -1].min() < -1e-9:
+        return None
+    body[:, -1] = np.clip(body[:, -1], 0.0, None)
+    return np.vstack([body, tab[m] - tab[m, cols] @ body])
+
+
+def simplex_max(
+    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, max_pivots: int = 200000, basis=None
+) -> SimplexResult:
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
-    Dense tableau starting from the (immediately feasible) slack basis.
-    Entering columns follow Dantzig's rule until a degenerate stall, then
-    Bland's smallest-index rule takes over permanently, which rules out
-    cycling.
+    Dense tableau.  It starts from ``basis`` (as returned in
+    ``SimplexResult.basis``) when that basis is nonsingular and
+    primal-feasible, and from the slack basis otherwise.  Basis labels do not
+    move when columns are appended to A, so an optimal basis warm-starts the
+    grown program and only the new columns can price out.  Entering columns
+    follow Dantzig's rule until a degenerate stall, then Bland's
+    smallest-index rule takes over permanently, which rules out cycling.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a_ub, dtype=float)
@@ -99,7 +121,14 @@ def simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, max_pivots: i
     tab[:m, n : n + m] = np.eye(m)
     tab[:m, -1] = b
     tab[m, :n] = -c  # row turns nonnegative at optimality
-    basis = list(range(n, n + m))
+    basic = list(range(n, n + m))  # tableau column basic in each row; slack i is column n + i
+    if basis is not None:
+        if len(basis) != m or not all(-m <= v < n for v in basis):
+            raise ValueError(f"basis needs one label per row, each in [-{m}, {n})")
+        cols = [int(v) if v >= 0 else n - 1 - int(v) for v in basis]
+        warm = _rebased(tab, cols)
+        if warm is not None:
+            tab, basic = warm, cols
 
     pivots = 0
     stalled = 0
@@ -122,13 +151,13 @@ def simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, max_pivots: i
         ratios = tab[rows, -1] / col[rows]
         best_ratio = ratios.min()
         ties = rows[ratios <= best_ratio + 1e-12]
-        leave_row = int(min(ties, key=lambda i: basis[i]))
+        leave_row = int(min(ties, key=lambda i: basic[i]))
         pivot = tab[leave_row, enter]
         tab[leave_row] /= pivot
         factors = tab[:, enter].copy()
         factors[leave_row] = 0.0
         tab -= np.outer(factors, tab[leave_row])
-        basis[leave_row] = enter
+        basic[leave_row] = enter
         pivots += 1
         stalled = stalled + 1 if best_ratio <= 1e-12 else 0
         if stalled > 40:
@@ -137,10 +166,10 @@ def simplex_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, max_pivots: i
             raise RuntimeError(f"simplex exceeded {max_pivots} pivots")
 
     x = np.zeros(n + m)
-    for i, var in enumerate(basis):
-        x[var] = tab[i, -1]
+    x[basic] = tab[:m, -1]
     dual = tab[m, n : n + m].copy()
-    return SimplexResult(x=x[:n], objective=float(tab[m, -1]), dual=dual, pivots=pivots)
+    labels = np.array([v if v < n else n - 1 - v for v in basic])
+    return SimplexResult(x=x[:n], objective=float(tab[m, -1]), dual=dual, pivots=pivots, basis=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +186,8 @@ class ConeProgramResult:
     min_residual_eigenvalue: float
     lp_gap: float
     lower_bound_weight: float
+    rounds: int  # LP solves, one per cutting-plane round
+    pivots: int  # simplex pivots summed over the rounds
 
     @property
     def certified(self) -> bool:
@@ -173,6 +204,13 @@ class ConeProgramResult:
 def _residual_spectrum(weights, projectors, rho_matrix):
     resid = np.einsum("i,ijk->jk", weights, projectors) - rho_matrix
     return np.linalg.eigh((resid + resid.conj().T) / 2)
+
+
+def _cut_rows(vmat, projectors, rho_matrix):
+    """LP rows of the cuts v: g[m, i] = v_m^dag P_i v_m and b[m] = v_m^dag rho v_m."""
+    g = np.real(np.einsum("mj,ijk,mk->mi", vmat.conj(), projectors, vmat))
+    b = np.clip(np.real(np.einsum("mj,jk,mk->m", vmat.conj(), rho_matrix, vmat)), 0.0, None)
+    return g, b
 
 
 def _scale_to_feasible(weights, projectors, rho_matrix):
@@ -211,16 +249,17 @@ def mrm_inf_certificate(
 
     Cutting planes over an in-repo dense simplex: the scalarized LP keeps
     constraints v^dag(sum y_i P_i)v >= v^dag rho v for accumulated unit
-    vectors v; the LP is solved through its dual so the simplex starts from
-    the slack basis, and the generator weights come off the slack reduced
-    costs.  Each round separates on the negative eigenspace of the residual,
-    at a point pulled toward a feasible incumbent (in-out stabilization), and
-    the incumbent itself is maintained by exact rescaling of LP iterates.
-    Termination: the LP weights reach a PSD residual within ``psd_tol``, or
-    the incumbent is pinched against the LP lower bound within
+    vectors v and is solved through its dual, where each cut is a column and
+    the generator weights come off the slack reduced costs.  Cuts are only
+    appended, so each round computes the rows of its new cuts alone and
+    warm-starts the simplex from the previous optimal basis, which stays
+    primal-feasible.  Each round separates on the negative eigenspace of the
+    residual, at a point pulled toward a feasible incumbent (in-out
+    stabilization), and the incumbent itself is maintained by exact rescaling
+    of LP iterates.  Termination: the LP weights reach a PSD residual within
+    ``psd_tol``, or the incumbent is pinched against the LP lower bound within
     ``value_tol_bits``; either way the returned weights satisfy the PSD
-    certificate.  Old inactive cuts are dropped to keep the LP dense tableau
-    small.
+    certificate.  Past ``max_cuts`` cuts it raises ``MrmInfError``.
     """
     if family is not None and family.params != rho.params:
         raise ValueError("family layout does not match the state")
@@ -235,17 +274,12 @@ def mrm_inf_certificate(
 
     # uniform mixture over the generators is proportional to the identity, so
     # a scaled copy is always feasible and seeds the incumbent
-    lam_max = float(np.linalg.eigvalsh(rho_m)[-1])
-    incumbent = np.full(n_gen, lam_max / (rho.params.d + 1) * (1 + 1e-12))
-
-    base_cuts = [np.eye(dim, dtype=complex)[k] for k in range(dim)]
     evals, evecs = np.linalg.eigh(rho_m)
-    for k in range(dim):
-        if evals[k] > 1e-12:
-            base_cuts.append(evecs[:, k].copy())
-    cuts: list[np.ndarray] = list(base_cuts)
-    total_cuts = len(cuts)
-    max_rows = max(3 * dim * dim, 120)
+    incumbent = np.full(n_gen, float(evals[-1]) / (rho.params.d + 1) * (1 + 1e-12))
+    base_cuts = np.vstack([np.eye(dim, dtype=complex), evecs[:, evals > 1e-12].T])
+    g, b = _cut_rows(base_cuts, projectors, rho_m)
+    basis = None
+    rounds = pivots = 0
 
     def finish(weights, spectrum_min, lp_gap, lower):
         total = float(np.sum(weights))
@@ -253,18 +287,20 @@ def mrm_inf_certificate(
             value_bits=math.log2(max(total, 1e-300)),
             total_weight=total,
             weights=weights,
-            cuts=total_cuts,
+            cuts=len(b),
             min_residual_eigenvalue=spectrum_min,
             lp_gap=lp_gap,
             lower_bound_weight=lower,
+            rounds=rounds,
+            pivots=pivots,
         )
 
     lower = 0.0
-    while total_cuts <= max_cuts:
-        vmat = np.stack(cuts)
-        g = np.real(np.einsum("mj,ijk,mk->mi", vmat.conj(), projectors, vmat))
-        b = np.clip(np.real(np.einsum("mj,jk,mk->m", vmat.conj(), rho_m, vmat)), 0.0, None)
-        lp = simplex_max(b, g.T, np.ones(n_gen))
+    while len(b) <= max_cuts:
+        lp = simplex_max(b, g.T, np.ones(n_gen), basis=basis)
+        basis = lp.basis
+        rounds += 1
+        pivots += lp.pivots
         y_lp = lp.dual
         lower = max(lower, lp.objective)
         lp_gap = abs(float(np.sum(y_lp)) - lp.objective)
@@ -276,10 +312,6 @@ def mrm_inf_certificate(
         tightened = _scale_to_feasible(y_lp, projectors, rho_m)
         if tightened is not None and tightened.sum() < incumbent.sum():
             incumbent = tightened
-        upper = float(incumbent.sum())
-        if math.log2(upper) - math.log2(max(lower, 1e-300)) <= value_tol_bits:
-            spectrum_min = float(_residual_spectrum(incumbent, projectors, rho_m)[0][0])
-            return finish(incumbent, spectrum_min, lp_gap, lower)
 
         # separate along the segment from the incumbent toward the LP vertex
         cut_point = None
@@ -294,6 +326,10 @@ def mrm_inf_certificate(
             if scaled is not None and scaled.sum() < incumbent.sum():
                 incumbent = scaled
             t += (1 - t) * 0.5
+        # tested after the segment search: its rescaled points can pinch the bracket
+        if math.log2(float(incumbent.sum())) - math.log2(max(lower, 1e-300)) <= value_tol_bits:
+            spectrum_min = float(_residual_spectrum(incumbent, projectors, rho_m)[0][0])
+            return finish(incumbent, spectrum_min, lp_gap, lower)
         if cut_point is None:
             cut_point = (vals, vecs)
         rvals, rvecs = cut_point
@@ -303,15 +339,9 @@ def mrm_inf_certificate(
             for b_i in range(a_i + 1, len(negs)):
                 new_cuts.append((negs[a_i] + negs[b_i]) / np.sqrt(2))
                 new_cuts.append((negs[a_i] + 1j * negs[b_i]) / np.sqrt(2))
-        cuts.extend(new_cuts)
-        total_cuts += len(new_cuts)
-        if len(cuts) > max_rows:
-            # keep the structural cuts, the LP-active rows, and the fresh ones
-            active = {i for i in range(len(lp.x)) if lp.x[i] > 1e-12}
-            kept = list(base_cuts)
-            kept += [cuts[i] for i in sorted(active) if i >= len(base_cuts)]
-            kept += new_cuts
-            cuts = kept
+        g_new, b_new = _cut_rows(np.stack(new_cuts), projectors, rho_m)
+        g = np.vstack([g, g_new])
+        b = np.concatenate([b, b_new])
 
     raise MrmInfError(
         f"cutting planes did not certify PSD within {max_cuts} cuts "

@@ -1,8 +1,8 @@
 """State construction and the stabilizer universe.
 
 Density matrices, named preset states, enumeration of the minimal
-stabilizer-projection family, mean states, purification, phase-space
-inversion symmetry, random state sampling, and the JSON state file format.
+stabilizer-projection family, mean states, phase-space inversion symmetry,
+random state sampling, and the JSON state file format.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import frobenius_distance, partial_trace, von_neumann_entropy
+from .linalg import frobenius_distance, von_neumann_entropy
 from .weyl import (
     BSParams,
     CharacteristicTable,
@@ -91,21 +91,6 @@ class DensityMatrix:
 
     def entropy(self) -> float:
         return von_neumann_entropy(self.matrix)
-
-
-@dataclass(frozen=True)
-class PurifiedState:
-    """Joint pure vector on reference x system whose marginal is the target."""
-
-    params: QuditParams
-    ref_dim: int
-    vector: np.ndarray  # shape (ref_dim * d^n,), reference factor first
-
-    def joint_projector(self) -> np.ndarray:
-        return np.outer(self.vector, self.vector.conj())
-
-    def reduced(self) -> np.ndarray:
-        return partial_trace(self.joint_projector(), [self.ref_dim, self.params.dim], keep=[1])
 
 
 def _basis_ket(dim: int, k: int) -> np.ndarray:
@@ -379,7 +364,7 @@ def _family_from_arrays(params: QuditParams, gens, chars, ranks) -> StabilizerFa
 
 
 # ---------------------------------------------------------------------------
-# Mean state, purification, symmetry
+# Mean state, symmetry
 # ---------------------------------------------------------------------------
 
 
@@ -405,22 +390,6 @@ def mean_state(rho: DensityMatrix, verify_membership: bool = True) -> DensityMat
         if dist > MEMBER_MATCH_TOL:
             raise RuntimeError(f"mean state landed {dist:.3e} away from the enumerated family")
     return result
-
-
-def purify(rho: DensityMatrix) -> PurifiedState:
-    """Eigen-purification with reference dimension equal to rank(rho)."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    rank = int(np.sum(vals > 1e-12))
-    rank = max(rank, 1)
-    dim = rho.params.dim
-    joint = np.zeros((rank, dim), dtype=complex)
-    for r in range(rank):
-        joint[r] = np.sqrt(max(vals[r], 0.0)) * vecs[:, r]
-    vec = joint.reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    return PurifiedState(rho.params, rank, vec)
 
 
 def is_phase_inversion_symmetric(rho: DensityMatrix, tol: float = 1e-9) -> bool:

@@ -72,6 +72,31 @@ def group_dephasing(rho: np.ndarray, generators: list[np.ndarray], order: int) -
     return sum(u @ rho @ u.conj().T for u in elements) / len(elements)
 
 
+class PurifiedState(NamedTuple):
+    """Joint pure vector on reference x system, reference factor first."""
+
+    ref_dim: int
+    vector: np.ndarray
+
+    def reduced(self) -> np.ndarray:
+        """The system marginal: Tr_ref |v><v|."""
+        joint = self.vector.reshape(self.ref_dim, -1)
+        return joint.T @ joint.conj()
+
+
+def purify(rho: np.ndarray) -> PurifiedState:
+    """Eigen-purification with reference dimension equal to rank(rho)."""
+    vals, vecs = np.linalg.eigh(rho)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    rank = max(int(np.sum(vals > 1e-12)), 1)
+    joint = np.zeros((rank, rho.shape[0]), dtype=complex)
+    for r in range(rank):
+        joint[r] = np.sqrt(max(vals[r], 0.0)) * vecs[:, r]
+    vec = joint.reshape(-1)
+    return PurifiedState(rank, vec / np.linalg.norm(vec))
+
+
 def partial_trace_loop(matrix: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
     """Direct index-summation partial trace."""
     n = len(dims)

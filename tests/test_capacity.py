@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -75,6 +77,19 @@ class TestCoherentInformation:
         assert len(calls) == 1
         fresh = channel(BS72, chan.environment)
         assert values == [coherent_information(fresh, first), coherent_information(fresh, second)]
+
+    def test_used_channel_freed_without_cyclic_gc(self, rng):
+        # the cached evaluator must not hold the channel in a reference cycle
+        chan = channel(BS72, random_density_matrix(P7, rng))
+        coherent_information(chan, random_density_matrix(P7, rng))
+        chan.ic_evaluator(random_density_matrix(P7, rng).matrix, grad=True)
+        ref = weakref.ref(chan)
+        gc.disable()
+        try:
+            del chan
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_two_routes_agree_on_pure_environments(self, rng):
         # with a pure environment the complement output is the Stinespring

@@ -104,6 +104,39 @@ class TestSimplex:
         with pytest.raises(ValueError, match="b >= 0"):
             simplex_max(np.ones(1), np.ones((1, 1)), np.array([-1.0]))
 
+    def test_warm_start_after_appending_columns(self):
+        # the cone program's pattern: columns are appended, the RHS stays
+        rng = np.random.default_rng(3)
+        a, c, b = rng.random((8, 40)), rng.random(40), np.ones(8)
+        first = simplex_max(c[:24], a[:, :24], b)
+        warm = simplex_max(c, a, b, basis=first.basis)
+        cold = simplex_max(c, a, b)
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert np.max(np.abs(warm.dual - cold.dual)) <= 1e-12
+        assert np.max(np.abs(warm.x - cold.x)) <= 1e-12
+        assert warm.pivots < cold.pivots
+        # the returned basis reproduces the optimum without a pivot
+        again = simplex_max(c, a, b, basis=warm.basis)
+        assert again.pivots == 0 and again.objective == pytest.approx(cold.objective, abs=1e-12)
+
+    def test_unusable_basis_falls_back_to_slack_start(self):
+        c = np.array([1.0, 1.0])
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        b = np.array([1.0, 4.0])
+        cold = simplex_max(c, a, b)
+        # columns 0 and 1 as basis put x1 = -2/3: infeasible; a repeated
+        # column is singular
+        for basis in ([0, 1], [0, 0]):
+            res = simplex_max(c, a, b, basis=basis)
+            assert res.objective == cold.objective and res.pivots == cold.pivots
+            assert np.array_equal(res.dual, cold.dual) and np.array_equal(res.basis, cold.basis)
+
+    def test_rejects_malformed_basis(self):
+        c, a, b = np.ones(2), np.eye(2), np.ones(2)
+        for basis in ([0], [0, 2], [0, -3]):
+            with pytest.raises(ValueError, match="basis"):
+                simplex_max(c, a, b, basis=basis)
+
 
 class TestMrmInf:
     def test_zero_on_pure_stabilizer(self):
@@ -141,6 +174,33 @@ class TestMrmInf:
         for _ in range(3):
             x = WeylIndex.make(P7, int(rng.integers(7)), int(rng.integers(7)))
             assert mrm_inf(displace(rho, x)) == pytest.approx(base, abs=1e-6)
+
+    def test_counters_repeat_for_a_fixed_seed(self):
+        runs = [mrm_inf_certificate(random_density_matrix(P7, np.random.default_rng(11), rank=3)) for _ in range(2)]
+        counters = [(r.rounds, r.pivots, r.cuts) for r in runs]
+        assert counters[0] == counters[1]
+        assert counters[0][0] >= 1 and counters[0][1] >= 1
+        assert runs[0].value_bits == runs[1].value_bits
+
+    def test_full_rank_panel_certifies(self):
+        # 12 seeded full-rank d=7 states; cold-started rounds with cut
+        # pruning hit the 500-cut cap on 2 of them (indices 4 and 8), so no
+        # more may fail
+        rng = np.random.default_rng(2024)
+        states = [random_density_matrix(P7, rng) for _ in range(12)]
+        results, failures = [], 0
+        for rho in states:
+            try:
+                results.append((rho, mrm_inf_certificate(rho)))
+            except MrmInfError:
+                failures += 1
+        assert failures <= 2
+        for _, result in results:
+            assert result.certified and result.cuts <= 500
+        projectors = pure_stabilizer_projectors(P7)
+        for rho, result in results[:2]:
+            w_lo, w_hi = stabilizer_weight_bracket(rho.matrix, projectors)
+            assert math.log2(w_lo) - 1e-4 <= result.value_bits <= math.log2(w_hi) + 1e-4
 
     def test_soft_comparison_with_mean_state_route(self, rng):
         # empirical comparison only: findings are reported, not asserted away;

