@@ -13,7 +13,6 @@ from .weyl import (
     WeylIndex,
     characteristic_function,
     inverse_weyl_transform,
-    phase_point_operator,
     random_clifford,
     valid_st_pairs,
     weyl_operator,
@@ -23,7 +22,6 @@ from .states import (
     DensityMatrix,
     StabilizerFamily,
     enumerate_stabilizers,
-    is_phase_inversion_symmetric,
     mean_state,
     preset_state,
     read_state,

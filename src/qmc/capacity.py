@@ -55,7 +55,7 @@ def _ic_matrix_fn(chan: BeamSplitterChannel):
     """
     i, j = chan.gather_indices()
     ic_idx, jc = chan.gather_indices(complement=True)
-    purifier = chan.environment_purifier()
+    purifier = chan.purifier
     dim, rank = purifier.shape
     size = dim * rank
     check_side(dim, rank, dim * size * dim)

@@ -14,7 +14,7 @@ and the complement is the same sum with I, J transposed.  The sum costs
 dim^3 and runs in chunks of b under a fixed element budget, so the dim^4
 joint state is never built.  Choi matrices and other reference/output
 states use the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k] of the
-environment purified as sigma = P P^dag.
+environment purified as sigma = P P^dag (``stinespring_amplitudes``).
 """
 
 from __future__ import annotations
@@ -131,10 +131,18 @@ class BeamSplitterChannel:
 
     def environment_purifier(self) -> np.ndarray:
         """P with sigma = P P^dag: columns sqrt(lambda_k) v_k, one per
-        environment eigenvalue above ``BRANCH_CUTOFF``."""
+        environment eigenvalue above ``BRANCH_CUTOFF``.  Computed afresh;
+        ``purifier`` keeps it for the channel's lifetime."""
         vals, vecs = np.linalg.eigh(self.environment.matrix)
         keep = vals > BRANCH_CUTOFF
         return vecs[:, keep] * np.sqrt(vals[keep])
+
+    @cached_property
+    def purifier(self) -> np.ndarray:
+        """``environment_purifier()``, computed on first use and kept (read-only)."""
+        out = self.environment_purifier()
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def ic_evaluator(self):
@@ -151,20 +159,22 @@ class BeamSplitterChannel:
         i, j = self.gather_indices(complement)
         return _gather_sum(np.asarray(rho_matrix), self.environment.matrix, i, j)
 
-    def reference_output(self, psi: np.ndarray, complement: bool = False) -> np.ndarray:
-        """(id x channel)(|psi><psi|) for psi[r, x] on reference x input.
-
-        The Stinespring amplitudes W[r, a, b, k] = psi[r, I[a, b]] * P[J[a, b], k]
-        form a pure state on reference, kept output, traced output and the
-        environment purifier; the result is W W^dag over (r, a), of size
-        refs * dim.  Raises ValueError when that side exceeds ``MAX_SIDE``.
+    def stinespring_amplitudes(self, psi: np.ndarray, complement: bool = False) -> np.ndarray:
+        """W[(r, a), (b, k)] = psi[r, I[a, b]] * P[J[a, b], k] for psi[r, x] on
+        reference x input: the pure state on reference, kept output, traced
+        output and the environment purifier, as a (refs * dim, dim * rank)
+        matrix.  Raises ValueError when refs * dim exceeds ``MAX_SIDE``.
         """
         i, j = self.gather_indices(complement)
-        purifier = self.environment_purifier()
+        purifier = self.purifier
         dim, refs = self.params.dim, psi.shape[0]
         check_side(dim, refs, refs * dim * dim * purifier.shape[1])
-        amplitudes = psi[:, i, None] * purifier[j]
-        w = amplitudes.reshape(refs * dim, -1)
+        return (psi[:, i, None] * purifier[j]).reshape(refs * dim, -1)
+
+    def reference_output(self, psi: np.ndarray, complement: bool = False) -> np.ndarray:
+        """(id x channel)(|psi><psi|) = W W^dag over (r, a), with W the
+        ``stinespring_amplitudes`` of psi; of size refs * dim."""
+        w = self.stinespring_amplitudes(psi, complement)
         return w @ w.conj().T
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:

@@ -12,6 +12,17 @@ on the four kets {|0>, |1>, |t^2>, |s^2>}; the decoder recovers the
 |0>/|1> pair coherently, folds |t^2> to logical 0 and |s^2> to logical 1,
 and dumps the untouched subspace to logical 0 (any unitary completion there
 is equivalent because the output never reaches it).
+
+Entanglement fidelity is one matrix product.  With W the channel's
+Stinespring amplitudes of psi = encoding^T, rows (reference r, kept output
+a) and columns (traced output b, environment purifier k), and A the stack of
+decoder Kraus operators flattened over (r, a),
+
+    F = (1/K^2) sum_A sum_{b, k} |sum_{r, a} A[r, a] W[(r, a), (b, k)]|^2 = ||A W||_F^2 / K^2,
+
+so no Kraus operator is lifted to the K x K joint space.  Decoders are built
+and checked as stacks: one Gram for completeness, one stacked
+eigendecomposition for the pretty-good measurement.
 """
 
 from __future__ import annotations
@@ -40,10 +51,9 @@ class CodeSpec:
 
     def __post_init__(self):
         enc = np.ascontiguousarray(np.asarray(self.encoding, dtype=complex))
+        kraus = tuple(np.ascontiguousarray(np.asarray(k, dtype=complex)) for k in self.kraus)
         object.__setattr__(self, "encoding", enc)
-        object.__setattr__(
-            self, "kraus", tuple(np.ascontiguousarray(np.asarray(k, dtype=complex)) for k in self.kraus)
-        )
+        object.__setattr__(self, "kraus", kraus)
         k = self.logical_dim
         if enc.shape[1] != k:
             raise ValueError(f"encoding has {enc.shape[1]} columns, expected {k}")
@@ -51,36 +61,22 @@ class CodeSpec:
         if float(np.max(np.abs(gram - np.eye(k)))) > ISOMETRY_TOL:
             raise ValueError("encoding columns are not orthonormal")
         dim = enc.shape[0]
-        total = sum(kr.conj().T @ kr for kr in self.kraus)
-        if float(np.max(np.abs(total - np.eye(dim)))) > KRAUS_TOL:
-            raise ValueError("decoding Kraus operators do not sum to the identity")
-        for kr in self.kraus:
+        for kr in kraus:
             if kr.shape != (k, dim):
                 raise ValueError(f"Kraus shape {kr.shape} != ({k}, {dim})")
-
-    def to_payload(self) -> dict:
-        return {
-            "K": self.logical_dim,
-            "encoding": [[[float(a.real), float(a.imag)] for a in col] for col in self.encoding.T],
-            "decoding": [
-                [[[float(a.real), float(a.imag)] for a in row] for row in kr] for kr in self.kraus
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CodeSpec":
-        k = int(payload["K"])
-        cols = [np.array([complex(re, im) for re, im in col]) for col in payload["encoding"]]
-        enc = np.stack(cols, axis=1)
-        kraus = tuple(
-            np.array([[complex(re, im) for re, im in row] for row in kr])
-            for kr in payload["decoding"]
-        )
-        return cls(k, enc, kraus)
+        rows = np.reshape(kraus, (-1, dim))  # every Kraus row: sum_A A^dag A = rows^dag rows
+        if float(np.max(np.abs(rows.conj().T @ rows - np.eye(dim)))) > KRAUS_TOL:
+            raise ValueError("decoding Kraus operators do not sum to the identity")
 
 
 def entanglement_fidelity(code: CodeSpec, chan: BeamSplitterChannel) -> float:
     """Overlap of the maximally entangled state with its encode/transmit/decode image.
+
+    With W the channel's Stinespring amplitudes of psi = encoding^T
+    (``BeamSplitterChannel.stinespring_amplitudes``, rows (r, a)) and A the
+    (m, K * dim) stack of the decoder's Kraus operators,
+
+        F = (1/K^2) sum_A sum_{b, k} |sum_{r, a} A[r, a] W[(r, a), (b, k)]|^2 = ||A W||_F^2 / K^2.
 
     Linear in the environment by construction.
     """
@@ -88,27 +84,20 @@ def entanglement_fidelity(code: CodeSpec, chan: BeamSplitterChannel) -> float:
     dim = chan.params.dim
     if k > dim:
         raise ValueError(f"logical dimension {k} exceeds physical dimension {dim}")
-    # encoded maximally entangled vector, reference first: row r is enc(|r>)/sqrt(K)
-    joint = chan.reference_output(code.encoding.T / math.sqrt(k))
-    decoded = np.zeros((k * k, k * k), dtype=complex)
-    for kr in code.kraus:
-        lifted = np.kron(np.eye(k), kr)
-        decoded += lifted @ joint @ lifted.conj().T
-    phi = np.eye(k, dtype=complex).reshape(-1) / math.sqrt(k)
-    return float(np.real(phi.conj() @ decoded @ phi))
+    decoded = np.reshape(code.kraus, (-1, k * dim)) @ chan.stinespring_amplitudes(code.encoding.T)
+    return float(np.vdot(decoded, decoded).real) / (k * k)
 
 
-def _dump_kraus(logical_dim: int, dim: int, used: list[np.ndarray]) -> list[np.ndarray]:
-    """Complete a partial decoder: send the unaddressed subspace to logical 0."""
-    total = sum(kr.conj().T @ kr for kr in used) if used else np.zeros((dim, dim), dtype=complex)
-    vals, vecs = np.linalg.eigh(np.eye(dim) - total)
-    out = []
-    for val, vec in zip(vals, vecs.T):
-        if val > 1e-12:
-            kr = np.zeros((logical_dim, dim), dtype=complex)
-            kr[0] = math.sqrt(val) * vec.conj()
-            out.append(kr)
-    return out
+def _dump_kraus(used: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Complete a partial decoder, stacked (m, K, dim): append Kraus operators
+    that send the subspace it leaves unaddressed to logical 0."""
+    _, k, dim = used.shape
+    rows = used.reshape(-1, dim)
+    vals, vecs = np.linalg.eigh(np.eye(dim) - rows.conj().T @ rows)
+    keep = vals > 1e-12
+    dump = np.zeros((int(keep.sum()), k, dim), dtype=complex)
+    dump[:, 0] = (vecs[:, keep] * np.sqrt(vals[keep])).T.conj()
+    return tuple(np.concatenate([used, dump]))
 
 
 def stabilizer_code_construction(
@@ -135,9 +124,7 @@ def stabilizer_code_construction(
     recover = np.zeros((logical_dim, dim), dtype=complex)
     for i, x in enumerate(kets):
         recover[i, (s * x) % dim] = 1.0
-    kraus = [recover]
-    kraus += _dump_kraus(logical_dim, dim, kraus)
-    return CodeSpec(logical_dim, enc, tuple(kraus))
+    return CodeSpec(logical_dim, enc, _dump_kraus(recover[None]))
 
 
 def magic_code_construction(bsparams: BSParams) -> tuple[DensityMatrix, CodeSpec]:
@@ -164,9 +151,7 @@ def magic_code_construction(bsparams: BSParams) -> tuple[DensityMatrix, CodeSpec
     fold_t[0, (t * t) % d] = 1.0
     fold_s = np.zeros((2, d), dtype=complex)
     fold_s[1, (s * s) % d] = 1.0
-    kraus = [coherent, fold_t, fold_s]
-    kraus += _dump_kraus(2, d, kraus)
-    return env, CodeSpec(2, enc, tuple(kraus))
+    return env, CodeSpec(2, enc, _dump_kraus(np.stack([coherent, fold_t, fold_s])))
 
 
 def random_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,29 +163,23 @@ def random_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray
 def pgm_decoder(encoding: np.ndarray, chan: BeamSplitterChannel) -> tuple[np.ndarray, ...]:
     """Pretty-good-measurement decoder matched to the channel outputs.
 
-    Measurement operators B rho_i B with B the pseudo-inverse square root of
-    the output sum; the unresolved subspace is dumped to logical 0.
+    Measurement operators B rho_i B with rho_i the output of encoded ket i
+    and B the pseudo-inverse square root of the output sum, eigendecomposed
+    as one stack; the unresolved subspace is dumped to logical 0.
     """
     k = encoding.shape[1]
     dim = chan.params.dim
-    outputs = []
-    for i in range(k):
-        ket = encoding[:, i]
-        outputs.append(chan.apply_matrix(np.outer(ket, ket.conj())))
-    total = sum(outputs)
-    vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs * [(v**-0.5 if v > 1e-12 else 0.0) for v in vals]) @ vecs.conj().T
-    kraus = []
-    for i, out in enumerate(outputs):
-        m = inv_sqrt @ out @ inv_sqrt
-        mvals, mvecs = np.linalg.eigh((m + m.conj().T) / 2)
-        for val, vec in zip(mvals, mvecs.T):
-            if val > 1e-12:
-                kr = np.zeros((k, dim), dtype=complex)
-                kr[i] = math.sqrt(val) * vec.conj()
-                kraus.append(kr)
-    kraus += _dump_kraus(k, dim, kraus)
-    return tuple(kraus)
+    w = chan.stinespring_amplitudes(encoding.T).reshape(k, dim, -1)
+    outputs = w @ w.conj().transpose(0, 2, 1)
+    vals, vecs = np.linalg.eigh(outputs.sum(axis=0))
+    inv_sqrt = (vecs * np.where(vals > 1e-12, vals, np.inf) ** -0.5) @ vecs.conj().T
+    m = inv_sqrt @ outputs @ inv_sqrt
+    mvals, mvecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+    logical, col = np.nonzero(mvals > 1e-12)  # logical-major, eigenvalues ascending
+    kraus = np.zeros((logical.size, k, dim), dtype=complex)
+    weights = np.sqrt(mvals[logical, col])[:, None]
+    kraus[np.arange(logical.size), logical] = weights * mvecs[logical, :, col].conj()
+    return _dump_kraus(kraus)
 
 
 def random_relabel_decoder(
@@ -208,11 +187,8 @@ def random_relabel_decoder(
 ) -> tuple[np.ndarray, ...]:
     """Measure in a random unitary basis and fold outcomes onto logical kets."""
     u = random_isometry(dim, dim, rng)
-    kraus = []
-    for i in range(dim):
-        kr = np.zeros((logical_dim, dim), dtype=complex)
-        kr[i % logical_dim] = u[:, i].conj()
-        kraus.append(kr)
+    kraus = np.zeros((dim, logical_dim, dim), dtype=complex)
+    kraus[np.arange(dim), np.arange(dim) % logical_dim] = u.T.conj()
     return tuple(kraus)
 
 

@@ -22,7 +22,6 @@ from .weyl import (
     WeylIndex,
     characteristic_function,
     inverse_weyl_transform,
-    parity_operator,
     clifford_from_word,
     random_clifford,
     _digit_table,
@@ -249,7 +248,9 @@ def _enumerate_single(params: QuditParams) -> StabilizerFamily:
 
 
 def stabilizer_family(params: QuditParams) -> StabilizerFamily:
-    """Cached n=1 enumeration."""
+    """Cached n=1 enumeration; raises ValueError for any other n."""
+    if params.n != 1:
+        raise ValueError(f"the stabilizer family is available for n=1 only, got n={params.n}")
     return _enumerate_single(params)
 
 
@@ -390,26 +391,6 @@ def mean_state(rho: DensityMatrix, verify_membership: bool = True) -> DensityMat
         if dist > MEMBER_MATCH_TOL:
             raise RuntimeError(f"mean state landed {dist:.3e} away from the enumerated family")
     return result
-
-
-def is_phase_inversion_symmetric(rho: DensityMatrix, tol: float = 1e-9) -> bool:
-    """True when conjugation by the parity operator fixes the state.
-
-    Computed both directly and as the characteristic-function test
-    Xi(x) = Xi(-x); the two routes must agree.
-    """
-    a0 = parity_operator(rho.params)
-    direct = float(np.linalg.norm(a0 @ rho.matrix @ a0.conj().T - rho.matrix))
-    table = characteristic_function(rho)
-    neg = table.scaled(rho.params.d - 1)
-    spectral = float(np.max(np.abs(table.values - neg)))
-    direct_ok = direct <= tol
-    spectral_ok = spectral <= 10 * tol  # table route accumulates slightly more noise
-    if direct_ok != spectral_ok:
-        raise RuntimeError(
-            f"symmetry routes disagree: matrix distance {direct:.3e}, table distance {spectral:.3e}"
-        )
-    return direct_ok
 
 
 # ---------------------------------------------------------------------------

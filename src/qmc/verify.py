@@ -170,9 +170,26 @@ def coding_suite(cfg: VerifyConfig) -> SuiteReport:
 
 
 SUITE_NAMES = ("all", "theorem-2", "theorem-3", "theorem-4", "theorem-5", "lemmas", "coding")
+# suites built on the n=1 stabilizer family, the single-qudit witness
+# constructions or single-qudit preset environments
+SINGLE_QUDIT_SUITES = ("all", "theorem-2", "theorem-3", "theorem-4", "lemmas", "coding")
+
+
+def check_suite_n(name: str, cfg: VerifyConfig) -> None:
+    """Raise ValueError, naming the suite, when it cannot run at ``cfg.n``."""
+    if cfg.n == 1:
+        return
+    if name in SINGLE_QUDIT_SUITES:
+        raise ValueError(f"suite {name!r} runs at n=1 only, got n={cfg.n}")
+    if name == "theorem-5" and cfg.s % cfg.d == cfg.t % cfg.d:
+        raise ValueError(
+            "suite 'theorem-5' with s = t mod d builds its degradation witness on the single-qudit "
+            f"symmetric two-ket state, so it runs at n=1 only, got n={cfg.n}"
+        )
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> list[SuiteReport]:
+    check_suite_n(name, cfg)
     if name == "lemmas":
         return [lemma_suite(cfg)]
     if name == "coding":

@@ -259,17 +259,11 @@ def parity_operator(params: QuditParams) -> np.ndarray:
     return out
 
 
-def phase_point_operator(params: QuditParams, x: WeylIndex) -> np.ndarray:
-    """A(x) = w(x) A(0) w(x)^dag; Hermitian, trace one, A(0)^2 = identity."""
-    a0 = parity_operator(params)
-    if x.is_zero():
-        return a0
-    rows, phases = weyl_action(params, x)
-    return monomial_conjugate(a0, rows, phases)
-
-
 def wigner_function(rho) -> np.ndarray:
     """Raw discrete Wigner table W(x) = Tr[rho A(x)]; sums to d^n.
+
+    A(x) = w(x) A(0) w(x)^dag are the phase-point operators, with A(0) the
+    ``parity_operator``.
 
     Computed as the symplectic Fourier transform of the characteristic
     table, W(u) = (1/d^n) sum_v w^{-[u, v]} Xi(v).  Divide by d^n for the

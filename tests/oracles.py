@@ -164,6 +164,93 @@ def stinespring_isometry(unitary: np.ndarray, env_ket: np.ndarray) -> np.ndarray
     return unitary @ np.kron(np.eye(dim), env_ket.reshape(dim, 1))
 
 
+def reference_output_dense(psi: np.ndarray, sigma: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """(id x channel)(|psi><psi|) for psi[r, x], indexed [(r, a), (r', a')]:
+    the dense unitary applied to psi[r] x v_k for each eigenvector v_k of the
+    environment, weighted by its eigenvalue, with the traced register summed out."""
+    refs, dim = psi.shape
+    vals, vecs = np.linalg.eigh(sigma)
+    out = np.zeros((refs * dim, refs * dim), dtype=complex)
+    for val, env in zip(vals, vecs.T):
+        if val <= 0:
+            continue
+        joint = unitary @ np.kron(psi, env).T  # [(a, b), r]
+        amp = joint.reshape(dim, dim, refs).transpose(2, 0, 1).reshape(refs * dim, dim)
+        out += val * (amp @ amp.conj().T)
+    return out
+
+
+def entanglement_fidelity_loop(
+    encoding: np.ndarray, kraus, sigma: np.ndarray, unitary: np.ndarray
+) -> float:
+    """<phi| sum_A (1 x A) J (1 x A)^dag |phi>, one lifted Kraus operator at a
+    time: J is the reference/output state of the encoded maximally entangled
+    vector and phi the maximally entangled vector on K x K."""
+    k = encoding.shape[1]
+    joint = reference_output_dense(encoding.T / math.sqrt(k), sigma, unitary)
+    decoded = np.zeros((k * k, k * k), dtype=complex)
+    for kr in kraus:
+        lifted = np.kron(np.eye(k), kr)
+        decoded += lifted @ joint @ lifted.conj().T
+    phi = np.eye(k, dtype=complex).reshape(-1) / math.sqrt(k)
+    return float(np.real(phi.conj() @ decoded @ phi))
+
+
+def dump_kraus_loop(logical_dim: int, dim: int, used: list[np.ndarray]) -> list[np.ndarray]:
+    """Kraus operators sending the subspace a partial decoder leaves
+    unaddressed to logical 0, one eigenvector at a time."""
+    total = sum(kr.conj().T @ kr for kr in used) if used else np.zeros((dim, dim), dtype=complex)
+    vals, vecs = np.linalg.eigh(np.eye(dim) - total)
+    out = []
+    for val, vec in zip(vals, vecs.T):
+        if val > 1e-12:
+            kr = np.zeros((logical_dim, dim), dtype=complex)
+            kr[0] = math.sqrt(val) * vec.conj()
+            out.append(kr)
+    return out
+
+
+def pgm_decoder_loop(encoding: np.ndarray, sigma: np.ndarray, unitary: np.ndarray) -> list[np.ndarray]:
+    """Pretty-good-measurement decoder, one channel output and one
+    eigendecomposition per encoded ket, completed by ``dump_kraus_loop``."""
+    dim, k = encoding.shape
+    outputs = [reference_output_dense(encoding[:, i][None], sigma, unitary) for i in range(k)]
+    vals, vecs = np.linalg.eigh(sum(outputs))
+    inv_sqrt = (vecs * [(v**-0.5 if v > 1e-12 else 0.0) for v in vals]) @ vecs.conj().T
+    kraus = []
+    for i, out in enumerate(outputs):
+        m = inv_sqrt @ out @ inv_sqrt
+        mvals, mvecs = np.linalg.eigh((m + m.conj().T) / 2)
+        for val, vec in zip(mvals, mvecs.T):
+            if val > 1e-12:
+                kr = np.zeros((k, dim), dtype=complex)
+                kr[i] = math.sqrt(val) * vec.conj()
+                kraus.append(kr)
+    return kraus + dump_kraus_loop(k, dim, kraus)
+
+
+def code_to_payload(code) -> dict:
+    """A CodeSpec as nested [re, im] lists: encoding by column, decoding by Kraus row."""
+    return {
+        "K": code.logical_dim,
+        "encoding": [[[float(a.real), float(a.imag)] for a in col] for col in code.encoding.T],
+        "decoding": [
+            [[[float(a.real), float(a.imag)] for a in row] for row in kr] for kr in code.kraus
+        ],
+    }
+
+
+def code_from_payload(payload: dict):
+    """Inverse of ``code_to_payload``; the CodeSpec constructor re-checks the code."""
+    from qmc.coding import CodeSpec
+
+    cols = [np.array([complex(re, im) for re, im in col]) for col in payload["encoding"]]
+    kraus = tuple(
+        np.array([[complex(re, im) for re, im in row] for row in kr]) for kr in payload["decoding"]
+    )
+    return CodeSpec(int(payload["K"]), np.stack(cols, axis=1), kraus)
+
+
 def dinf_bisection(rho: np.ndarray, sigma: np.ndarray, iters: int = 60) -> float:
     """log2 of the smallest l with l*sigma - rho PSD, by bisection on l."""
 
@@ -216,6 +303,12 @@ def _digit_rows(params) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(params.dim), (params.d,) * params.n), axis=1)
 
 
+def _negation(params) -> np.ndarray:
+    """Flat index of -x for every flat index x of Z_d^n."""
+    shape = (params.d,) * params.n
+    return np.ravel_multi_index(tuple((-_digit_rows(params) % params.d).T), shape)
+
+
 def _phase_space_labels(params):
     """Every phase-space point as (enc(p), enc(q), WeylIndex), row-major."""
     digits = [tuple(int(v) for v in row) for row in _digit_rows(params)]
@@ -252,14 +345,44 @@ def inverse_weyl_transform_loop(params, values: np.ndarray) -> np.ndarray:
 
 def wigner_function_loop(params, m: np.ndarray) -> np.ndarray:
     """W(x) = Tr[rho w(x) A0 w(x)^dag] point by point, complex (no residue check)."""
-    shape = (params.d,) * params.n
-    neg = np.ravel_multi_index(tuple((-_digit_rows(params) % params.d).T), shape)
+    neg = _negation(params)
     values = np.empty((params.dim, params.dim), dtype=complex)
     for pe, qe, x in _phase_space_labels(params):
         rows, phases = weyl_action(params, x)
         # Tr[rho w A0 w^dag] = sum_a conj(ph[a]) ph[neg a] rho[rows[a], rows[neg a]]
         values[pe, qe] = np.sum(phases.conj() * phases[neg] * m[rows, rows[neg]])
     return values
+
+
+def phase_point_operator(params, x) -> np.ndarray:
+    """A(x) = w(x) A(0) w(x)^dag, with A(0) the parity |k> -> |-k>, as dense products."""
+    dim = params.dim
+    cols = np.arange(dim)
+    a0 = np.zeros((dim, dim), dtype=complex)
+    a0[_negation(params), cols] = 1.0
+    rows, phases = weyl_action(params, x)
+    w = np.zeros((dim, dim), dtype=complex)
+    w[rows, cols] = phases
+    return w @ a0 @ w.conj().T
+
+
+def is_phase_inversion_symmetric(params, m: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when conjugation by the parity |k> -> |-k> fixes the state.
+
+    Tested both on the matrix and as Xi(x) = Xi(-x) on the point-by-point
+    characteristic table; raises RuntimeError when the two routes disagree.
+    """
+    neg = _negation(params)
+    direct = float(np.linalg.norm(m[np.ix_(neg, neg)] - m))
+    table = characteristic_function_loop(params, m)
+    spectral = float(np.max(np.abs(table - table[np.ix_(neg, neg)])))
+    direct_ok = direct <= tol
+    spectral_ok = spectral <= 10 * tol  # the table route accumulates slightly more noise
+    if direct_ok != spectral_ok:
+        raise RuntimeError(
+            f"symmetry routes disagree: matrix distance {direct:.3e}, table distance {spectral:.3e}"
+        )
+    return direct_ok
 
 
 def symplectic_ft_wigner(rho: np.ndarray, d: int, n: int, char_fn) -> np.ndarray:

@@ -181,6 +181,26 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["results"]["pass"] is False
 
+    @pytest.mark.parametrize("suite", ["theorem-2", "theorem-3", "theorem-4", "theorem-5", "lemmas", "coding", "all"])
+    def test_unsupported_n_rejected_by_name_before_work(self, suite, capsys, monkeypatch):
+        import qmc.verify as verify_mod
+
+        def started(*args):
+            raise AssertionError("the suite started before its n was checked")
+
+        for name in ("lemma_suite", "coding_suite", "verify_theorem"):
+            monkeypatch.setattr(verify_mod, name, started)
+        code = main(["verify", "--suite", suite, "--d", "7", "--n", "2", "--s", "2", "--t", "2", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"suite {suite!r}" in err and "n=1 only, got n=2" in err
+
+    def test_theorem5_runs_at_n2_with_unequal_weights(self):
+        from qmc.capacity import VerifyConfig
+        from qmc.verify import check_suite_n
+
+        check_suite_n("theorem-5", VerifyConfig(d=7, s=2, t=5, n=2))
+
 
 class TestThreadCap:
     def test_serial_by_default(self, monkeypatch):

@@ -1,8 +1,11 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import qmc.coding as coding
 from qmc.channel import BeamSplitterChannel
 from qmc.coding import (
     CodeSpec,
@@ -11,17 +14,55 @@ from qmc.coding import (
     magic_code_construction,
     pgm_decoder,
     random_isometry,
+    random_relabel_decoder,
     stabilizer_ceiling_search,
     stabilizer_code_construction,
 )
 from qmc.magic import mrm_inf
-from qmc.states import DensityMatrix, preset_state, random_pure_state, stabilizer_family
-from qmc.weyl import BSParams, QuditParams
+from qmc.states import DensityMatrix, preset_state, random_density_matrix, random_pure_state, stabilizer_family
+from qmc.weyl import BSParams, QuditParams, valid_st_pairs
+
+from oracles import (
+    beam_splitter_unitary,
+    code_from_payload,
+    code_to_payload,
+    dump_kraus_loop,
+    entanglement_fidelity_loop,
+    pgm_decoder_loop,
+    reference_output_dense,
+)
 
 P7 = QuditParams(7)
 BS72 = BSParams(P7, 2, 2)
 P13 = QuditParams(13)
 BS13 = BSParams(P13, 2, 6)
+
+
+@lru_cache(maxsize=None)
+def dense_unitary(bs: BSParams) -> np.ndarray:
+    return beam_splitter_unitary(bs.params.d, bs.params.n, bs.s, bs.t)
+
+
+def oracle_fidelity(code: CodeSpec, chan: BeamSplitterChannel) -> float:
+    return entanglement_fidelity_loop(code.encoding, code.kraus, chan.environment.matrix, dense_unitary(chan.bsparams))
+
+
+def oracle_pgm(encoding: np.ndarray, chan: BeamSplitterChannel) -> list[np.ndarray]:
+    return pgm_decoder_loop(encoding, chan.environment.matrix, dense_unitary(chan.bsparams))
+
+
+def assert_same_decoder(got, expected, tol=1e-12):
+    """Same Kraus operators in the same order (logical row and weight of
+    each) and the same decoding channel (its Choi matrix, which no choice of
+    eigenbasis in a degenerate eigenspace changes).  Operators of weight
+    below ``tol`` are round-off on either side of the 1e-12 cut and dropped."""
+    got, expected = ([a for a in ops if np.vdot(a, a).real > tol] for ops in (got, expected))
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(np.abs(a).sum(axis=1) > 1e-9, np.abs(b).sum(axis=1) > 1e-9)
+        assert abs(np.vdot(a, a).real - np.vdot(b, b).real) <= tol
+    choi = [sum(np.outer(kr.ravel(), kr.ravel().conj()) for kr in ops) for ops in (got, expected)]
+    assert np.max(np.abs(choi[0] - choi[1])) <= tol
 
 
 class TestCodeSpec:
@@ -38,7 +79,7 @@ class TestCodeSpec:
 
     def test_payload_round_trip(self):
         code = stabilizer_code_construction(P7, BS72, 3)
-        back = CodeSpec.from_payload(code.to_payload())
+        back = code_from_payload(code_to_payload(code))
         assert np.allclose(back.encoding, code.encoding)
         assert len(back.kraus) == len(code.kraus)
         assert all(np.allclose(a, b) for a, b in zip(back.kraus, code.kraus))
@@ -163,3 +204,74 @@ class TestRatioBound:
         sigma = random_pure_state(P7, rng)
         report = fidelity_ratio_bound_check(sigma, BS72, 2, trials=25, seed=12)
         assert report.passed
+
+
+class TestOracleParity:
+    @pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), data=st.data())
+    def test_fidelity_and_decoders_match_loop_oracles(self, d, n, seed, k, data):
+        params = QuditParams(d, n)
+        pairs = valid_st_pairs(params)
+        bs = pairs[data.draw(st.integers(0, len(pairs) - 1), label="pair")]
+        rank = data.draw(st.integers(1, params.dim), label="environment rank")
+        rng = np.random.default_rng(seed)
+        chan = BeamSplitterChannel(bs, random_density_matrix(params, rng, rank=rank))
+        enc = random_isometry(params.dim, k, rng)
+
+        pgm = pgm_decoder(enc, chan)
+        # B = (sum of outputs)^(-1/2) amplifies round-off by the sum's condition number
+        joint = reference_output_dense(enc.T, chan.environment.matrix, dense_unitary(bs))
+        vals = np.linalg.eigvalsh(np.einsum("rarb->ab", joint.reshape(k, params.dim, k, params.dim)))
+        assert_same_decoder(pgm, oracle_pgm(enc, chan), tol=1e-12 / vals[vals > 1e-12].min())
+        u = random_isometry(params.dim, params.dim, np.random.default_rng(seed))
+        relabel = random_relabel_decoder(k, params.dim, np.random.default_rng(seed))
+        for i, kr in enumerate(relabel):
+            expected = np.zeros((k, params.dim), dtype=complex)
+            expected[i % k] = u[:, i].conj()
+            assert np.array_equal(kr, expected)
+        codes = [CodeSpec(k, enc, pgm), CodeSpec(k, enc, relabel)]
+        if bs.s % d:  # the computational-ket construction decodes through s x_i
+            construction = stabilizer_code_construction(params, bs, k)
+            recover = construction.kraus[0]
+            assert_same_decoder(construction.kraus, [recover] + dump_kraus_loop(k, params.dim, [recover]))
+            codes.append(construction)
+        if k == 2 and n == 1 and bs.nontrivial and (bs.s**2 - bs.t**2) % d != 0:
+            codes.append(magic_code_construction(bs)[1])
+        for code in codes:
+            assert abs(entanglement_fidelity(code, chan) - oracle_fidelity(code, chan)) <= 1e-12
+
+
+class TestSearchesMatchOracleRoute:
+    @staticmethod
+    def both_routes(monkeypatch, search):
+        new = search()
+        with monkeypatch.context() as m:
+            m.setattr(coding, "entanglement_fidelity", oracle_fidelity)
+            m.setattr(coding, "pgm_decoder", oracle_pgm)
+            old = search()
+        assert abs(new.best_value - old.best_value) <= 1e-12
+        assert new.best_descriptor == old.best_descriptor
+        return new
+
+    @pytest.mark.parametrize("params, bs, k, trials, seed", [(P7, BS72, 2, 30, 8), (P7, BS72, 3, 20, 9), (P13, BS13, 2, 20, 3)])
+    def test_ceiling_search(self, monkeypatch, params, bs, k, trials, seed):
+        report = self.both_routes(monkeypatch, lambda: stabilizer_ceiling_search(params, bs, k, trials, seed))
+        assert report.passed
+
+    def test_ratio_check(self, monkeypatch, rng):
+        sigma = random_pure_state(P7, rng)
+        self.both_routes(monkeypatch, lambda: fidelity_ratio_bound_check(sigma, BS72, 2, trials=15, seed=12))
+        env, _ = magic_code_construction(BS13)
+        self.both_routes(monkeypatch, lambda: fidelity_ratio_bound_check(env, BS13, 2, trials=10, seed=4))
+
+    def test_ratio_check_purifies_the_environment_once(self, monkeypatch, rng):
+        calls = []
+        original = BeamSplitterChannel.environment_purifier
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(BeamSplitterChannel, "environment_purifier", counting)
+        fidelity_ratio_bound_check(random_pure_state(P7, rng), BS72, 2, trials=10, seed=4)
+        assert len(calls) == 1

@@ -10,7 +10,6 @@ from qmc.states import (
     DensityMatrix,
     clifford_dressed_environment,
     enumerate_stabilizers,
-    is_phase_inversion_symmetric,
     mean_state,
     preset_state,
     random_density_matrix,
@@ -23,7 +22,7 @@ from qmc.states import (
 )
 from qmc.weyl import QuditParams, BSParams, WeylIndex, characteristic_function, weyl_operator, wigner_function
 
-from oracles import group_dephasing, purify
+from oracles import group_dephasing, is_phase_inversion_symmetric, purify
 
 P7 = QuditParams(7)
 P3 = QuditParams(3)
@@ -124,6 +123,8 @@ class TestEnumeration:
             enumerate_stabilizers(QuditParams(3, 2))
         with pytest.raises(ValueError, match="d=2"):
             enumerate_stabilizers(QuditParams(2))
+        with pytest.raises(ValueError, match="n=1 only, got n=2"):
+            stabilizer_family(QuditParams(3, 2))
 
 
 class TestHudson:
@@ -231,15 +232,15 @@ class TestPhaseInversionSymmetry:
         checked = 0
         for i, member in enumerate(family.members):
             if all(abs(char - 1.0) <= 1e-12 for _, char in member.generators):
-                assert is_phase_inversion_symmetric(family.state_at(i))
+                assert is_phase_inversion_symmetric(P7, family.state_at(i).matrix)
                 checked += 1
         assert checked >= 8  # one per direction plus the maximally mixed state
 
     def test_symmetric_two_ket_state(self):
-        assert is_phase_inversion_symmetric(preset_state("symmetric-pm1", P7))
+        assert is_phase_inversion_symmetric(P7, preset_state("symmetric-pm1", P7).matrix)
 
     def test_uniform_01_is_not_symmetric(self):
-        assert not is_phase_inversion_symmetric(preset_state("uniform-01", P7))
+        assert not is_phase_inversion_symmetric(P7, preset_state("uniform-01", P7).matrix)
 
 
 class TestCliffordDressedEnvironment:

@@ -18,7 +18,6 @@ from qmc.weyl import (
     fourier_matrix,
     inverse_weyl_transform,
     parity_operator,
-    phase_point_operator,
     random_clifford,
     valid_st_pairs,
     weyl_operator,
@@ -30,6 +29,7 @@ from oracles import (
     characteristic_value,
     classify_weyl_image,
     inverse_weyl_transform_loop,
+    phase_point_operator,
     symplectic_ft_wigner,
     wigner_function_loop,
 )
