@@ -1,22 +1,23 @@
 """Coherent information, the one-shot capacity optimizer, and claim suites.
 
-The optimizer reports certified lower bounds only: the value returned is the
-best coherent information actually evaluated, never an optimality claim.
-Upper bounds come from the proven claims exercised by the verification
-suites, not from optimization.
+Coherent information and its exact gradient run on the channel's Weyl
+multipliers and their adjoints (``_ic_matrix_fn``).  The optimizer reports
+certified lower bounds only: the value returned is the best coherent
+information actually evaluated, never an optimality claim.  Upper bounds come
+from the proven claims exercised by the verification suites, not from
+optimization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 import numpy as np
 from scipy import optimize
 
-from .channel import BeamSplitterChannel, check_side, complement_identity_check, degradation_witness
+from .channel import BeamSplitterChannel, complement_identity_check, degradation_witness
 from .linalg import shannon_entropy, von_neumann_entropy
 from .magic import mrm
 from .parallel import parallel_map
@@ -26,7 +27,7 @@ from .states import (
     random_density_matrix,
     stabilizer_family,
 )
-from .weyl import BSParams, QuditParams
+from .weyl import MAX_DIM, BSParams, QuditParams
 
 LOG_FLOOR = 1e-300  # eigenvalues are floored here inside the gradient's log2
 
@@ -35,14 +36,10 @@ def _ic_matrix_fn(chan: BeamSplitterChannel):
     """Coherent-information evaluator on raw matrices, built once per channel.
 
     I_c = S(N(rho)) - S(N^c(rho)), with the complement landing on E x E',
-    where E' purifies the environment as sigma = P P^dag.  With (Ic, Jc) the
-    complement's gather indices,
-
-        N^c(rho)[(e, k), (f, l)] = sum_a rho[Ic[e, a], Ic[f, a]] P[Jc[e, a], k] conj(P[Jc[f, a], l]).
-
-    Reference, output, E and E' then share a pure state, so the entropy
-    difference is the coherent information for every environment, and the
-    map is linear in rho (no eigendecomposition of the input).
+    where E' purifies the environment (``purified_complement``).  Reference,
+    output, E and E' then share a pure state, so the entropy difference is the
+    coherent information for every environment, and both maps are linear in
+    rho.
 
     ``ic(m)`` takes eigenvalues only.  ``ic(m, grad=True)`` returns
     ``(I_c, A)`` with dI_c = Tr(A dm) for Hermitian dm:
@@ -50,50 +47,17 @@ def _ic_matrix_fn(chan: BeamSplitterChannel):
         A = -N^dag(log2 N(m)) + N^c^dag(log2 N^c(m)).
 
     The 1/ln 2 terms of the two entropy derivatives cancel because both maps
-    preserve the trace.  Each adjoint is a scatter-add (``np.bincount``) onto
-    the positions its forward map gathers from, transposed.
+    preserve the trace; both adjoints are Weyl-multiplier adjoints.
     """
-    i, j = chan.gather_indices()
-    ic_idx, jc = chan.gather_indices(complement=True)
-    purifier = chan.purifier
-    dim, rank = purifier.shape
-    size = dim * rank
-    check_side(dim, rank, dim * size * dim)
-    pj = purifier[jc]  # [e, a, k]
-    left = np.ascontiguousarray(pj.transpose(0, 2, 1))  # [e, k, a]
-    right = pj.conj()  # [f, a, l]
-    rows, cols = ic_idx[None, :, :], ic_idx[:, None, :]  # gathers rho as [f, e, a]
-
-    @cache
-    def adjoint_tables():
-        """Scatter positions and fixed factors: the channel's terms as
-        [a, a', b], the complement's as [f, a, e]; built on the first gradient."""
-        sigma_terms = chan.environment.matrix[j[:, None, :], j[None, :, :]]
-        flat = np.concatenate([
-            (i[:, None, :] * dim + i[None, :, :]).ravel(),
-            (ic_idx.T[None, :, :] * dim + ic_idx[:, :, None]).ravel(),
-        ])
-        return sigma_terms, flat, pj.transpose(1, 0, 2)  # the last as [a, e, k]
-
-    def complement(m: np.ndarray) -> np.ndarray:
-        terms = (m[rows, cols][:, :, None, :] * left).reshape(dim, size, dim)  # [f, (e, k), a]
-        return (terms @ right).transpose(1, 0, 2).reshape(size, size)
+    forward, complement = chan.multiplier, chan.purified_complement
 
     def ic(m: np.ndarray, grad: bool = False):
         out = chan.apply_matrix(m)
         if not grad:
             return von_neumann_entropy(out) - von_neumann_entropy(complement(m))
-        sigma_terms, flat, pj_ae = adjoint_tables()
         s_out, log_out = _entropy_and_log(out)
         s_comp, log_comp = _entropy_and_log(complement(m))
-        # W[f, a, e] = sum_{k, l} log_comp[(f, l), (e, k)] P[Jc[e, a], k] conj(P[Jc[f, a], l])
-        t = (right @ log_comp.reshape(dim, rank, size)).reshape(dim, dim, dim, rank)
-        weights = np.concatenate([
-            -(log_out.T[:, :, None] * sigma_terms).ravel(),
-            np.einsum("faek,aek->fae", t, pj_ae).ravel(),
-        ])
-        a = np.bincount(flat, weights.real, dim * dim) + 1j * np.bincount(flat, weights.imag, dim * dim)
-        return s_out - s_comp, a.reshape(dim, dim).T
+        return s_out - s_comp, complement.adjoint(log_comp) - forward.adjoint(log_out)
 
     return ic
 
@@ -663,7 +627,31 @@ def _suite_magic_bound(cfg: VerifyConfig) -> SuiteReport:
     report.checks.append(
         CheckLine("coherent information doubles on product environments", worst_add, 1e-8)
     )
+    if cfg.bsparams().nontrivial:
+        report.checks.extend(_k_copy_checks(cfg))
     return report
+
+
+def _k_copy_checks(cfg: VerifyConfig) -> list[CheckLine]:
+    """Linear growth in the number k of magic states: I_c of k witness copies
+    and mrm of k witness environments against k times one copy, k = 1..3
+    within ``MAX_DIM``."""
+    witness = capacity_witness_construction(cfg.bsparams())
+    env = env_k = witness.environment
+    rho = rho_k = witness.input_state
+    copies = [k for k in (1, 2, 3) if cfg.d**k <= MAX_DIM]
+    one_ic, one_mrm = coherent_information(_channel(cfg, env), rho), mrm(env)
+    worst_ic = worst_mrm = 0.0
+    for k in copies:
+        env_k, rho_k = (env_k.tensor(env), rho_k.tensor(rho)) if k > 1 else (env, rho)
+        chan = BeamSplitterChannel(BSParams(QuditParams(cfg.d, k), cfg.s, cfg.t), env_k)
+        worst_ic = max(worst_ic, abs(coherent_information(chan, rho_k) - k * one_ic))
+        worst_mrm = max(worst_mrm, abs(mrm(env_k) - k * one_mrm))
+    span = f"k = 1..{copies[-1]}"
+    return [
+        CheckLine(f"coherent information of k witness copies is k times one copy ({span})", worst_ic, 1e-9),
+        CheckLine(f"magic of k witness environments is k times one copy ({span})", worst_mrm, 1e-9),
+    ]
 
 
 def _suite_symmetry(cfg: VerifyConfig) -> SuiteReport:

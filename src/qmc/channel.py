@@ -5,16 +5,14 @@ arithmetic componentwise mod d), so it is stored as an index permutation and
 never materialized.  The channel traces out the second register against a
 fixed environment state; the complementary channel traces out the first.
 
-Because the unitary permutes basis kets, the channel is one gather: with
-|I[a, b], J[a, b]> the preimage of |a, b>,
-
-    out[a, a'] = sum_b rho[I[a, b], I[a', b]] * sigma[J[a, b], J[a', b]],
-
-and the complement is the same sum with I, J transposed.  The sum costs
-dim^3 and runs in chunks of b under a fixed element budget, so the dim^4
-joint state is never built.  Choi matrices and other reference/output
-states use the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k] of the
-environment purified as sigma = P P^dag (``stinespring_amplitudes``).
+On characteristic tables the channel is a multiplication (the beam
+splitter's convolution-multiplication duality), Xi_out(x) = Xi_rho(s x)
+Xi_sigma(t x), and the complement is Xi_rho(-t x) Xi_sigma(s x).  So both
+maps and their adjoints are ``WeylMultiplier``s: dim^3 DFT products, never
+the dim^4 joint state.  Choi matrices and other reference/output states use
+the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k] of the environment
+purified as sigma = P P^dag (``stinespring_amplitudes``), where
+|I[a, b], J[a, b]> is the preimage of |a, b>.
 """
 
 from __future__ import annotations
@@ -32,10 +30,10 @@ from .weyl import (
     CharacteristicTable,
     QuditParams,
     WeylIndex,
+    WeylMultiplier,
     characteristic_function,
     monomial_conjugate,
     parity_operator,
-    scale_indices,
     weyl_action,
     weyl_operator,
     _digit_table,
@@ -46,53 +44,25 @@ CHOI_PSD_TOL = 1e-10
 CHOI_TP_TOL = 1e-10
 CHANNEL_EQ_TOL = 1e-9
 BRANCH_CUTOFF = 1e-14  # environment eigenvalues below this carry no Stinespring branch
-GATHER_BUDGET = 1 << 18  # elements per gathered factor in one chunk of the channel sum
 MAX_SIDE = 49 * 49  # largest dense reference/output or E x E' side (the dim-49 product environment)
 
 
 @lru_cache(maxsize=None)
-def _joint_permutation(d: int, n: int, s: int, t: int) -> np.ndarray:
-    """perm[(i, j)] = encoding of (s i + t j, -t i + s j); read-only."""
-    dim = d**n
-    digits = _digit_table(d, n)
-    powers = _powers(d, n)
-    i_dig = np.repeat(digits, dim, axis=0)
-    j_dig = np.tile(digits, (dim, 1))
-    a = (s * i_dig + t * j_dig) % d
-    b = (-t * i_dig + s * j_dig) % d
-    return (a @ powers) * dim + (b @ powers)
-
-
-@lru_cache(maxsize=None)
 def _gather_indices(d: int, n: int, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(I, J) with U |I[a, b], J[a, b]> = |a, b>: the inverse joint permutation
-    reshaped to [a, b]; read-only."""
-    perm = _joint_permutation(d, n, s, t)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    dim = d**n
-    i, j = np.divmod(inv.reshape(dim, dim), dim)
+    """(I, J) with U |I[a, b], J[a, b]> = |a, b>: the inverse rotation
+    |a, b> -> |s a - t b, t a + s b>, indexed [a, b]; read-only."""
+    digits, powers = _digit_table(d, n), _powers(d, n)
+    a, b = digits[:, None, :], digits[None, :, :]
+    i, j = ((s * a - t * b) % d) @ powers, ((t * a + s * b) % d) @ powers
     i.flags.writeable = j.flags.writeable = False
     return i, j
 
 
 def beam_splitter_permutation(bsparams: BSParams) -> np.ndarray:
-    return _joint_permutation(bsparams.params.d, bsparams.params.n, bsparams.s, bsparams.t)
-
-
-def _gather_sum(rho: np.ndarray, sigma: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """out[a, a'] = sum_b rho[i[a, b], i[a', b]] * sigma[j[a, b], j[a', b]].
-
-    The sum runs over chunks of b holding at most ``GATHER_BUDGET`` gathered
-    elements per factor.
-    """
-    dim, width = i.shape
-    step = max(1, GATHER_BUDGET // (dim * dim))
-    out = np.zeros((dim, dim), dtype=complex)
-    for lo in range(0, width, step):
-        ib, jb = i[:, lo : lo + step], j[:, lo : lo + step]
-        out += np.einsum("xyb,xyb->xy", rho[ib[:, None], ib[None]], sigma[jb[:, None], jb[None]])
-    return out
+    """perm[(i, j)] = encoding of (s i + t j, -t i + s j), the inverse rotation of the weights (s, -t)."""
+    b = bsparams
+    i, j = _gather_indices(b.params.d, b.params.n, b.s, -b.t)
+    return (i * b.params.dim + j).reshape(-1)
 
 
 def check_side(dim: int, rank: int, intermediate: int) -> None:
@@ -154,10 +124,30 @@ class BeamSplitterChannel:
 
         return _ic_matrix_fn(weakref.proxy(self))
 
+    @cached_property
+    def multiplier(self) -> WeylMultiplier:
+        """The channel as a Weyl multiplier, Xi_rho(s x) Xi_sigma(t x)."""
+        return WeylMultiplier.of(self.params, self.bsparams.s, self.environment.matrix, self.bsparams.t)
+
+    @cached_property
+    def complement_multiplier(self) -> WeylMultiplier:
+        """The complement as a Weyl multiplier, Xi_rho(-t x) Xi_sigma(s x)."""
+        return WeylMultiplier.of(self.params, -self.bsparams.t, self.environment.matrix, self.bsparams.s)
+
+    @cached_property
+    def purified_complement(self) -> WeylMultiplier:
+        """The complement onto E x E' (traced output, environment purifier),
+        [(e, k), (f, l)]: block (k, l) has p_k p_l^dag, p_k column k of
+        ``purifier``, for sigma.  A side dim * rank above ``MAX_SIDE`` raises
+        ValueError before the large arrays are built."""
+        dim, rank = self.purifier.shape
+        check_side(dim, rank, 2 * (dim * rank) ** 2)
+        vec = self.purifier.reshape(-1)
+        return WeylMultiplier.of(self.params, -self.bsparams.t, np.outer(vec, vec.conj()), self.bsparams.s, rank)
+
     def apply_matrix(self, rho_matrix: np.ndarray, complement: bool = False) -> np.ndarray:
         """Channel action on a raw matrix; no state validation (hot path)."""
-        i, j = self.gather_indices(complement)
-        return _gather_sum(np.asarray(rho_matrix), self.environment.matrix, i, j)
+        return (self.complement_multiplier if complement else self.multiplier)(rho_matrix)
 
     def stinespring_amplitudes(self, psi: np.ndarray, complement: bool = False) -> np.ndarray:
         """W[(r, a), (b, k)] = psi[r, I[a, b]] * P[J[a, b], k] for psi[r, x] on
@@ -241,18 +231,15 @@ def iterate_convolution(bsparams: BSParams, rho: DensityMatrix, steps: int) -> l
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    p = bsparams.params
     base = characteristic_function(rho)
     mean = mean_characteristic_table(base)
-    s_idx = scale_indices(p.d, p.n, bsparams.s)
-    t_idx = scale_indices(p.d, p.n, bsparams.t)
-    scaled_base = base.values[np.ix_(t_idx, t_idx)]
-    current = base.values
+    scaled_base = base.scaled(bsparams.t)
+    current = base
     out = []
     for step in range(1, steps + 1):
         if step > 1:
-            current = current[np.ix_(s_idx, s_idx)] * scaled_base
-        out.append((step, float(np.max(np.abs(current - mean)))))
+            current = CharacteristicTable(base.params, current.scaled(bsparams.s) * scaled_base)
+        out.append((step, float(np.max(np.abs(current.values - mean)))))
     return out
 
 

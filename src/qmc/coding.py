@@ -35,7 +35,7 @@ import numpy as np
 from .channel import BeamSplitterChannel
 from .magic import mrm_inf
 from .states import DensityMatrix, StabilizerFamily, preset_state, stabilizer_family
-from .weyl import BSParams, QuditParams
+from .weyl import BSParams, QuditParams, scale_indices
 
 ISOMETRY_TOL = 1e-10
 KRAUS_TOL = 1e-10
@@ -109,21 +109,23 @@ def stabilizer_code_construction(
     (plus a dump on the unaddressed subspace).  Against the all-zeros
     environment the channel maps |x_i> to |s x_i> but erases all code-space
     coherence whenever t != 0, which pins the fidelity at exactly 1/K; with
-    identity weights (s, t) = (1, 0) the same code recovers perfectly.
+    identity weights (s, t) = (1, 0) the same code recovers perfectly.  The
+    product s x_i is taken digit by digit, so s = 0 mod d is rejected.
     """
     dim = params.dim
     if logical_dim > dim:
         raise ValueError(f"logical dimension {logical_dim} exceeds {dim}")
+    if bsparams.s == 0:
+        raise ValueError(f"the computational-ket code decodes |s x_i>, which needs s != 0 mod {params.d}; got s=0")
     kets = list(range(logical_dim)) if kets is None else list(kets)
     if len(set(kets)) != logical_dim:
         raise ValueError("encoding kets must be distinct")
     enc = np.zeros((dim, logical_dim), dtype=complex)
-    for i, x in enumerate(kets):
-        enc[x % dim, i] = 1.0
-    s = bsparams.s
+    scaled = scale_indices(params.d, params.n, bsparams.s)
     recover = np.zeros((logical_dim, dim), dtype=complex)
     for i, x in enumerate(kets):
-        recover[i, (s * x) % dim] = 1.0
+        enc[x % dim, i] = 1.0
+        recover[i, scaled[x % dim]] = 1.0
     return CodeSpec(logical_dim, enc, _dump_kraus(recover[None]))
 
 

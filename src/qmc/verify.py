@@ -18,13 +18,15 @@ from .coding import (
     stabilizer_ceiling_search,
     stabilizer_code_construction,
 )
+from .linalg import partial_trace
 from .states import (
+    DensityMatrix,
     preset_state,
     random_density_matrix,
     random_pure_state,
     stabilizer_family,
 )
-from .weyl import characteristic_function, scale_indices, wigner_function
+from .weyl import characteristic_function, wigner_function
 
 
 def lemma_suite(cfg: VerifyConfig) -> SuiteReport:
@@ -36,18 +38,19 @@ def lemma_suite(cfg: VerifyConfig) -> SuiteReport:
     rng = np.random.default_rng(cfg.seed)
     report = SuiteReport(suite="lemmas", config=cfg.to_dict(), samples=cfg.samples)
 
-    # multiplication rule of characteristic tables under convolution
-    s_idx = scale_indices(d, params.n, bs.s)
-    t_idx = scale_indices(d, params.n, bs.t)
+    # multiplication rule of characteristic tables under convolution; the
+    # channel itself is this rule, so its output is read off the Stinespring
+    # amplitudes of a purification of rho instead
     worst = 0.0
     for _ in range(cfg.samples):
         rho = random_density_matrix(params, rng)
         sig = random_density_matrix(params, rng)
-        out = convolve(bs, rho, sig)
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        psi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).T  # psi[r, x]
+        joint = BeamSplitterChannel(bs, sig).reference_output(psi)
+        out = DensityMatrix(params, partial_trace(joint, [params.dim, params.dim], keep=[1]))
         lhs = characteristic_function(out).values
-        rt = characteristic_function(rho).values
-        st = characteristic_function(sig).values
-        rhs = rt[np.ix_(s_idx, s_idx)] * st[np.ix_(t_idx, t_idx)]
+        rhs = characteristic_function(rho).scaled(bs.s) * characteristic_function(sig).scaled(bs.t)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report.checks.append(CheckLine("convolution-multiplication duality", worst, 1e-10))
 

@@ -20,8 +20,10 @@ The phase-space transforms never loop over points.  For a fixed shift q,
 ``Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j+q, j]`` is one DFT over Z_d^n
 of the q-th shifted diagonal of rho, so the whole table is one matrix
 product with the cached DFT matrix.  The inverse transform runs the inverse
-DFT and scatters the diagonals back; the Wigner table is the symplectic
-Fourier transform of Xi, two more DFT products.
+DFT and gathers the diagonals back into a matrix; the Wigner table is the
+symplectic Fourier transform of Xi, two more DFT products.
+
+``WeylMultiplier`` puts a product Xi_in(a x) Xi_E(b x) between the halves.
 """
 
 from __future__ import annotations
@@ -204,28 +206,68 @@ class CharacteristicTable:
 
 
 @lru_cache(maxsize=None)
-def _dft_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(add, dft, twist) over Z_d^n on flat encodings; read-only.
+def _dft_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(add, dft, twist, idft) over Z_d^n on flat encodings; read-only.
 
-    ``add[j, q] = enc(j + q)``, ``dft[p, j] = w^{-p.j}`` and
-    ``twist[p, q] = w^{-h p.q}``.
+    ``add[j, q] = enc(j + q)``, ``dft[p, j] = w^{-p.j}``,
+    ``twist[p, q] = w^{-h p.q}`` and ``idft = conj(dft)``.
     """
     digits = _digit_table(d, n)
     add = ((digits[:, None, :] + digits[None, :, :]) % d) @ _powers(d, n)
     dot = digits @ digits.T
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     dft, twist = roots[-dot % d], roots[(-((d + 1) // 2) * dot) % d]
-    for table in (add, dft, twist):
+    tables = (add, dft, twist, dft.conj())
+    for table in tables:
         table.flags.writeable = False
-    return add, dft, twist
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _block_indices(d: int, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gathers, over runs of ``rank`` entries, between a (dim * rank)^2 block
+    matrix [(e, k), (f, l)] and its blocks' shifted diagonals [j, (q, k, l)]:
+    entry (e, f) of block (k, l) lies on diagonal q = e - f at j = f.
+    Returns (to_diagonals[j, q, k], to_matrix[e, k, f]); read-only."""
+    add = _dft_tables(d, n)[0]
+    dim, k, j = d**n, np.arange(rank), np.arange(d**n)
+    sub = add[:, scale_indices(d, n, -1)]  # sub[e, f] = enc(e - f)
+    to_diagonals = ((add * rank)[:, :, None] + k) * dim + j[:, None, None]
+    to_matrix = (j * dim + sub)[:, None, :] * rank + k[:, None]
+    to_diagonals.flags.writeable = to_matrix.flags.writeable = False
+    return to_diagonals, to_matrix
+
+
+def _shifted_diagonals(params: QuditParams, m: np.ndarray, rank: int = 1) -> np.ndarray:
+    """D[j, (q, k, l)] = block (k, l) of m at (j + q, j), shape (dim, dim * rank^2)."""
+    to_diagonals, _ = _block_indices(params.d, params.n, rank)
+    return m.reshape(-1, rank).take(to_diagonals, axis=0).reshape(params.dim, -1)
+
+
+def _from_shifted_diagonals(params: QuditParams, diagonals: np.ndarray, rank: int = 1) -> np.ndarray:
+    """The (dim * rank)^2 block matrix with these shifted diagonals."""
+    _, to_matrix = _block_indices(params.d, params.n, rank)
+    side = params.dim * rank
+    return diagonals.reshape(-1, rank).take(to_matrix, axis=0).reshape(side, side)
+
+
+@lru_cache(maxsize=None)
+def _scaled_transform(d: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(dft_k, gather_k, read_k): ``dft_k @ m.take(gather_k)`` is the DFT of
+    the shifted diagonals of a dim x dim m (its table without the twist) read
+    at k x, and ``read_k`` the ``np.ix_`` read of a table at k x; read-only."""
+    idx = scale_indices(d, n, k)
+    gather = _block_indices(d, n, 1)[0].reshape(d**n, d**n)[:, idx]
+    gather.flags.writeable = False
+    return _dft_tables(d, n)[1][idx], gather, np.ix_(idx, idx)
 
 
 def _characteristic_values(params: QuditParams, m: np.ndarray) -> np.ndarray:
     """Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j + q, j]: for each shift q,
     one DFT of the q-th shifted diagonal of rho."""
     params.require_odd()
-    add, dft, twist = _dft_tables(params.d, params.n)
-    return twist * (dft @ m[add, np.arange(params.dim)[:, None]])
+    dft, gather, _ = _scaled_transform(params.d, params.n, 1)
+    return _dft_tables(params.d, params.n)[2] * (dft @ m.take(gather))
 
 
 def characteristic_function(rho) -> CharacteristicTable:
@@ -242,11 +284,53 @@ def inverse_weyl_transform(table: CharacteristicTable) -> np.ndarray:
     """
     params = table.params
     params.require_odd()
-    add, dft, twist = _dft_tables(params.d, params.n)
-    dim = params.dim
-    out = np.empty((dim, dim), dtype=complex)
-    out[add, np.arange(dim)[:, None]] = dft.conj() @ (twist.conj() * table.values) / dim
-    return out
+    _, _, twist, idft = _dft_tables(params.d, params.n)
+    return _from_shifted_diagonals(params, idft @ (twist.conj() * table.values) / params.dim)
+
+
+@dataclass(frozen=True, eq=False)
+class WeylMultiplier:
+    """X -> Y with Xi_Y(x) = Xi_X(a x) Xi_E(b x) for a fixed E, and its
+    adjoint under <X, Y> = Tr(X^dag Y); for a block matrix E over H x C^rank,
+    block (k, l) of Y has table Xi_X(a x) Xi_{E_kl}(b x).  Both run on shifted
+    diagonals: DFT, read at a, product with ``symbol[p, q, (k, l)]`` (the
+    Xi_{E_kl}(b x) with both transforms' phases and 1/dim folded in), inverse
+    DFT."""
+
+    params: QuditParams
+    scale: int
+    rank: int
+    symbol: np.ndarray
+
+    @classmethod
+    def of(cls, params: QuditParams, scale: int, env: np.ndarray, env_scale: int, rank: int = 1) -> "WeylMultiplier":
+        params.require_odd()
+        d, n, dim = params.d, params.n, params.dim
+        _, dft, twist, _ = _dft_tables(d, n)
+        raw = (dft @ _shifted_diagonals(params, np.asarray(env, dtype=complex), rank)).reshape(dim, dim, -1)
+        symbol = raw[_scaled_transform(d, n, env_scale)[2]]
+        # twist(k x) = twist^(k^2): the phases twist(b x) conj(twist(x)) twist(a x)
+        symbol *= (twist ** ((scale**2 + env_scale**2 - 1) % d) / dim)[:, :, None]
+        symbol.flags.writeable = False
+        return cls(params, scale, rank, symbol)
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        """Y for a dim x dim matrix X."""
+        p = self.params
+        dft, gather, _ = _scaled_transform(p.d, p.n, self.scale)
+        table = dft @ np.asarray(m).take(gather)
+        diagonals = _dft_tables(p.d, p.n)[3] @ (table[:, :, None] * self.symbol).reshape(p.dim, -1)
+        return _from_shifted_diagonals(p, diagonals, self.rank)
+
+    def adjoint(self, m: np.ndarray) -> np.ndarray:
+        """The dim x dim image of a (dim * rank)^2 matrix; the read at a turns
+        into a read at x / a, or into a sum into x = 0 for a = 0 mod d."""
+        p = self.params
+        _, dft, _, idft = _dft_tables(p.d, p.n)
+        raw = (dft @ _shifted_diagonals(p, m, self.rank)).reshape(self.symbol.shape)
+        table = np.zeros((p.dim, p.dim), dtype=complex)
+        np.add.at(table, _scaled_transform(p.d, p.n, self.scale)[2], np.einsum("pqb,pqb->pq", raw, self.symbol.conj()))
+        return _from_shifted_diagonals(p, idft @ table)
 
 
 def parity_operator(params: QuditParams) -> np.ndarray:
@@ -272,8 +356,8 @@ def wigner_function(rho) -> np.ndarray:
     """
     params: QuditParams = rho.params
     xi = _characteristic_values(params, np.asarray(rho.matrix, dtype=complex))
-    _, dft, _ = _dft_tables(params.d, params.n)
-    values = dft @ xi.T @ dft.conj() / params.dim
+    _, dft, _, idft = _dft_tables(params.d, params.n)
+    values = dft @ xi.T @ idft / params.dim
     residue = float(np.max(np.abs(values.imag)))
     if residue > 1e-10:
         raise ValueError(f"Wigner table has imaginary residue {residue:.3e}")

@@ -158,6 +158,61 @@ def channel_oracle(rho: np.ndarray, sigma: np.ndarray, unitary: np.ndarray) -> t
     return np.einsum("abcb->ac", blocks), np.einsum("abad->bd", blocks)
 
 
+GATHER_BUDGET = 1 << 18  # elements per gathered factor in one chunk of the gather sum
+
+
+def gather_sum(rho: np.ndarray, sigma: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """out[a, a'] = sum_b rho[i[a, b], i[a', b]] * sigma[j[a, b], j[a', b]].
+
+    With (i, j) a channel's ``gather_indices`` this is the channel (or, with
+    the complement's indices, the complement) read off the permutation
+    unitary.  The sum runs over chunks of b holding at most
+    ``GATHER_BUDGET`` gathered elements per factor.
+    """
+    dim, width = i.shape
+    step = max(1, GATHER_BUDGET // (dim * dim))
+    out = np.zeros((dim, dim), dtype=complex)
+    for lo in range(0, width, step):
+        ib, jb = i[:, lo : lo + step], j[:, lo : lo + step]
+        out += np.einsum("xyb,xyb->xy", rho[ib[:, None], ib[None]], sigma[jb[:, None], jb[None]])
+    return out
+
+
+def gather_sum_adjoint(lmat: np.ndarray, sigma: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The adjoint of rho -> gather_sum(rho, sigma, i, j) under Tr(X^dag Y):
+    each term L[a, a'] conj(sigma[j[a, b], j[a', b]]) is added onto the
+    position (i[a, b], i[a', b]) that the forward sum reads."""
+    dim = i.shape[0]
+    terms = lmat[:, :, None] * sigma[j[:, None, :], j[None, :, :]].conj()
+    out = np.zeros((dim, dim), dtype=complex)
+    np.add.at(out, (i[:, None, :], i[None, :, :]), terms)
+    return out
+
+
+def _outer_blocks(purifier: np.ndarray):
+    for k in range(purifier.shape[1]):
+        for l in range(purifier.shape[1]):
+            yield k, l, np.outer(purifier[:, k], purifier[:, l].conj())
+
+
+def purified_gather_sum(rho: np.ndarray, purifier: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The map onto the kept output and the purifier of sigma = P P^dag,
+    indexed [(a, k), (a', l)]: block (k, l) is ``gather_sum`` with the
+    rank-one p_k p_l^dag in place of sigma."""
+    dim, rank = purifier.shape
+    out = np.zeros((dim, rank, dim, rank), dtype=complex)
+    for k, l, block in _outer_blocks(purifier):
+        out[:, k, :, l] = gather_sum(rho, block, i, j)
+    return out.reshape(dim * rank, dim * rank)
+
+
+def purified_gather_sum_adjoint(lmat: np.ndarray, purifier: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The adjoint of ``purified_gather_sum``, block by block."""
+    dim, rank = purifier.shape
+    blocks = lmat.reshape(dim, rank, dim, rank)
+    return sum(gather_sum_adjoint(blocks[:, k, :, l], block, i, j) for k, l, block in _outer_blocks(purifier))
+
+
 def stinespring_isometry(unitary: np.ndarray, env_ket: np.ndarray) -> np.ndarray:
     """V = U (1 x |env>): the (dim^2, dim) isometry of a pure environment."""
     dim = env_ket.shape[0]

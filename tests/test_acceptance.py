@@ -121,13 +121,25 @@ def test_criterion_4_magic_bound_and_additivity():
     slack = report.checks[0]
     mrm_check = report.checks[1]
     additivity = report.checks[2]
-    ok = report.passed
+    # linear growth in the number of witness copies: k = 1..3 at d=7 from the
+    # run above, k = 1, 2 at d=13 from a small-budget run there
+    report13 = verify_theorem(
+        "theorem-4", VerifyConfig(d=13, s=2, t=6, seed=42, env_samples=2, restarts=2, iterations=100)
+    )
+    copies = {7: (report.checks[3:], "k = 1..3"), 13: (report13.checks[3:], "k = 1..2")}
+    ok = report.passed and report13.passed
+    ok = ok and all(len(lines) == 2 and all(span in c.claim and c.threshold == 1e-9 for c in lines)
+                    for lines, span in copies.values())
     criterion(
         "4",
         "magic upper bound and product additivity",
         ok,
         f"worst optimizer-minus-bound {slack.measured:.2e} (<=1e-6), mrm defect {mrm_check.measured:.2e} (<=1e-9), "
-        f"additivity defect {additivity.measured:.2e} (<=1e-8)",
+        f"additivity defect {additivity.measured:.2e} (<=1e-8); "
+        + "; ".join(
+            f"d={d} ({span}) k-copy I_c defect {lines[0].measured:.2e}, k-copy mrm defect {lines[1].measured:.2e} (<=1e-9)"
+            for d, (lines, span) in copies.items()
+        ),
     )
 
 

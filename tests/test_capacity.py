@@ -130,6 +130,22 @@ class TestCoherentInformation:
         rhs = coherent_information(chan1, rho1) + coherent_information(chan2, rho2)
         assert abs(lhs - rhs) <= 1e-8
 
+    def test_dim343_value_and_gradient_memory_bounded(self, rng):
+        # a pure product environment keeps the E x E' side at dim 343; the value
+        # is three times the single-qudit one
+        env, rho = random_pure_state(P7, rng), random_density_matrix(P7, rng)
+        bs = BSParams(QuditParams(7, 3), 2, 2)
+        chan = BeamSplitterChannel(bs, env.tensor(env).tensor(env))
+        tracemalloc.start()
+        try:
+            value, grad = chan.ic_evaluator(rho.tensor(rho).tensor(rho).matrix, grad=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert abs(value - 3 * coherent_information(channel(BS72, env), rho)) <= 1e-9
+        assert np.max(np.abs(grad - grad.conj().T)) <= 1e-9
+
     def test_oversized_sides_rejected_up_front(self, rng):
         # full-rank environment and input at dim 121: the E x E' complement and
         # the reference/output side would both be 14641 wide (3.4 GB each)
@@ -151,8 +167,8 @@ class TestGradient:
     @pytest.mark.parametrize(
         "bs, env_rank",
         [(BS72, 1), (BS72, 3), (BS72, 7), (BSParams(P7, 2, 5), 1), (BSParams(P7, 2, 5), 3),
-         (BSParams(P7, 2, 5), 7), (BS13, 1)],
-        ids=["d7-22-r1", "d7-22-r3", "d7-22-r7", "d7-25-r1", "d7-25-r3", "d7-25-r7", "d13-26-r1"],
+         (BSParams(P7, 2, 5), 7), (BS13, 1), (BSParams(P7, 0, 1), 3)],
+        ids=["d7-22-r1", "d7-22-r3", "d7-22-r7", "d7-25-r1", "d7-25-r3", "d7-25-r7", "d13-26-r1", "d7-01-r3"],
     )
     def test_matches_central_differences(self, rng, bs, env_rank):
         chan = channel(bs, random_density_matrix(bs.params, rng, rank=env_rank))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmc.capacity import _entropy_and_log
 from qmc.channel import (
     BeamSplitterChannel,
     ChoiMatrix,
@@ -31,13 +32,21 @@ from qmc.weyl import (
     WeylIndex,
     characteristic_function,
     random_clifford,
-    scale_indices,
     valid_st_pairs,
     weyl_operator,
     wigner_function,
 )
 
-from oracles import beam_splitter_unitary, channel_oracle, choi_from_kraus, stinespring_isometry
+from oracles import (
+    beam_splitter_unitary,
+    channel_oracle,
+    choi_from_kraus,
+    gather_sum,
+    gather_sum_adjoint,
+    purified_gather_sum,
+    purified_gather_sum_adjoint,
+    stinespring_isometry,
+)
 
 P7 = QuditParams(7)
 BS72 = BSParams(P7, 2, 2)
@@ -120,19 +129,48 @@ class TestApply:
         s_comp = von_neumann_entropy(chan.apply_complement(rho).matrix)
         assert abs(s_out - s_comp) <= 1e-9
 
-    @pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
-    @given(seed=st.integers(0, 2**32 - 1), pure_rho=st.booleans(), pure_sigma=st.booleans())
-    def test_gather_matches_dense_oracle(self, d, n, seed, pure_rho, pure_sigma):
-        # every valid pair: d = 3 and d = 5 have no nontrivial ones
+    @pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pure_rho=st.booleans(),
+        env_rank=st.sampled_from([1, 2, 7]),
+    )
+    def test_gather_matches_dense_oracle(self, d, n, seed, pure_rho, env_rank):
+        # every valid pair, trivial ones included (d = 3 and d = 5 have no
+        # nontrivial ones): the gather oracle against the dense one, and the
+        # multipliers against both for the channel, the complement, the
+        # E x E' complement and, through <L, N(rho)> = <N^dag(L), rho>, the
+        # adjoints.  The gradient's log2 terms reach LOG_FLOOR on trivial
+        # pairs, so their adjoint images are compared relative to the largest
+        # log entry.
         params = QuditParams(d, n)
         rng = np.random.default_rng(seed)
-        rho = random_pure_state(params, rng) if pure_rho else random_density_matrix(params, rng)
-        sigma = random_pure_state(params, rng) if pure_sigma else random_density_matrix(params, rng)
+        rho = (random_pure_state if pure_rho else random_density_matrix)(params, rng).matrix
+        sigma = random_density_matrix(params, rng, rank=min(env_rank, params.dim)).matrix
         for bs in valid_st_pairs(params):
-            chan = BeamSplitterChannel(bs, sigma)
-            out, comp = channel_oracle(rho.matrix, sigma.matrix, beam_splitter_unitary(d, n, bs.s, bs.t))
-            assert np.max(np.abs(chan.apply_matrix(rho.matrix) - out)) <= 1e-12
-            assert np.max(np.abs(chan.apply_matrix(rho.matrix, complement=True) - comp)) <= 1e-12
+            chan = BeamSplitterChannel(bs, DensityMatrix(params, sigma))
+            (i, j), (ic, jc) = chan.gather_indices(), chan.gather_indices(complement=True)
+            out, comp = channel_oracle(rho, sigma, beam_splitter_unitary(d, n, bs.s, bs.t))
+            purified = purified_gather_sum(rho, chan.purifier, ic, jc)
+            assert np.max(np.abs(gather_sum(rho, sigma, i, j) - out)) <= 1e-12
+            assert np.max(np.abs(gather_sum(rho, sigma, ic, jc) - comp)) <= 1e-12
+            assert np.max(np.abs(chan.apply_matrix(rho) - out)) <= 1e-12
+            assert np.max(np.abs(chan.apply_matrix(rho, complement=True) - comp)) <= 1e-12
+            assert np.max(np.abs(chan.purified_complement(rho) - purified)) <= 1e-12
+            maps = (
+                (chan.multiplier, out, lambda m: gather_sum_adjoint(m, sigma, i, j)),
+                (chan.purified_complement, purified, lambda m: purified_gather_sum_adjoint(m, chan.purifier, ic, jc)),
+            )
+            logs = []
+            for multiplier, image, oracle_adjoint in maps:
+                probe = rng.normal(size=image.shape) + 1j * rng.normal(size=image.shape)
+                assert abs(np.vdot(probe, image) - np.vdot(multiplier.adjoint(probe), rho)) <= 1e-12
+                logs.append(_entropy_and_log(multiplier(rho))[1])
+                adjoint, expected = multiplier.adjoint(logs[-1]), oracle_adjoint(logs[-1])
+                assert np.max(np.abs(adjoint - expected)) <= 1e-12 * np.max(np.abs(logs[-1]))
+            _, grad = chan.ic_evaluator(rho, grad=True)
+            expected = purified_gather_sum_adjoint(logs[1], chan.purifier, ic, jc) - gather_sum_adjoint(logs[0], sigma, i, j)
+            assert np.max(np.abs(grad - expected)) <= 1e-12 * max(np.max(np.abs(log)) for log in logs)
 
     def test_dim121_memory_bounded_and_table_identity(self, rng):
         # the dense joint state alone would take 121^4 complex entries (3.4 GB)
@@ -149,17 +187,17 @@ class TestApply:
         finally:
             tracemalloc.stop()
         assert peak <= 128 * 2**20
-        rt = characteristic_function(rho).values
-        st_ = characteristic_function(sigma).values
-
-        def scaled(table, k):
-            idx = scale_indices(11, 2, k)
-            return table[np.ix_(idx, idx)]
-
-        out_table = characteristic_function(DensityMatrix(params, out)).values
-        assert np.max(np.abs(out_table - scaled(rt, bs.s) * scaled(st_, bs.t))) <= 1e-10
-        comp_table = characteristic_function(DensityMatrix(params, comp)).values
-        assert np.max(np.abs(comp_table - scaled(rt, -bs.t) * scaled(st_, bs.s))) <= 1e-10
+        (i, j), (ic, jc) = chan.gather_indices(), chan.gather_indices(complement=True)
+        expected_out = gather_sum(rho.matrix, sigma.matrix, i, j)
+        expected_comp = gather_sum(rho.matrix, sigma.matrix, ic, jc)
+        assert np.max(np.abs(out - expected_out)) <= 1e-12
+        assert np.max(np.abs(comp - expected_comp)) <= 1e-12
+        rt = characteristic_function(rho)
+        st_ = characteristic_function(sigma)
+        out_table = characteristic_function(DensityMatrix(params, expected_out)).values
+        assert np.max(np.abs(out_table - rt.scaled(bs.s) * st_.scaled(bs.t))) <= 1e-10
+        comp_table = characteristic_function(DensityMatrix(params, expected_comp)).values
+        assert np.max(np.abs(comp_table - rt.scaled(-bs.t) * st_.scaled(bs.s))) <= 1e-10
 
     def test_dimension_mismatch(self):
         env = preset_state("ket-zero", P7)
@@ -172,7 +210,8 @@ class TestConvolution:
     def test_table_multiplication_rule(self, rng):
         rho = random_density_matrix(P7, rng)
         sig = random_density_matrix(P7, rng)
-        out_table = characteristic_function(convolve(BS72, rho, sig))
+        out, _ = channel_oracle(rho.matrix, sig.matrix, beam_splitter_unitary(7, 1, 2, 2))
+        out_table = characteristic_function(DensityMatrix(P7, out))
         rt = characteristic_function(rho)
         st_ = characteristic_function(sig)
         worst = 0.0
@@ -187,7 +226,8 @@ class TestConvolution:
     def test_complement_table_rule(self, rng):
         rho = random_density_matrix(P7, rng)
         sig = random_density_matrix(P7, rng)
-        out_table = characteristic_function(convolve_complement(BS72, rho, sig))
+        _, comp = channel_oracle(rho.matrix, sig.matrix, beam_splitter_unitary(7, 1, 2, 2))
+        out_table = characteristic_function(DensityMatrix(P7, comp))
         rt = characteristic_function(rho)
         st_ = characteristic_function(sig)
         for p in range(7):

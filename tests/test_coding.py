@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import qmc.coding as coding
 from qmc.channel import BeamSplitterChannel
+from qmc.cli import main
 from qmc.coding import (
     CodeSpec,
     entanglement_fidelity,
@@ -101,6 +102,19 @@ class TestComputationalCode:
     def test_oversized_logical_dim_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             stabilizer_code_construction(P7, BS72, 8)
+
+    def test_two_qudit_code_decodes_digitwise(self):
+        # s multiplies each base-d digit of the encoded ket, not its flat index
+        params = QuditParams(7, 2)
+        bs = BSParams(params, 5, 2)
+        code = stabilizer_code_construction(params, bs, 4)
+        chan = BeamSplitterChannel(bs, preset_state("ket-zero", params))
+        assert entanglement_fidelity(code, chan) == pytest.approx(0.25, abs=1e-12)
+
+    def test_zero_weight_rejected_by_name(self, capsys):
+        code = main(["fidelity", "--d", "3", "--s", "0", "--t", "1", "--env", "preset:ket-zero", "--K", "2"])
+        assert code == 2
+        assert "needs s != 0 mod 3; got s=0" in capsys.readouterr().err
 
 
 class TestMagicCode:
@@ -235,6 +249,9 @@ class TestOracleParity:
             recover = construction.kraus[0]
             assert_same_decoder(construction.kraus, [recover] + dump_kraus_loop(k, params.dim, [recover]))
             codes.append(construction)
+        else:
+            with pytest.raises(ValueError, match="needs s != 0"):
+                stabilizer_code_construction(params, bs, k)
         if k == 2 and n == 1 and bs.nontrivial and (bs.s**2 - bs.t**2) % d != 0:
             codes.append(magic_code_construction(bs)[1])
         for code in codes:
