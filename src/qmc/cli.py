@@ -24,7 +24,7 @@ from .capacity import OptimizerBudget, VerifyConfig, qcap_one_shot
 from .channel import BeamSplitterChannel, convolve, convolve_complement, iterate_convolution
 from .coding import entanglement_fidelity, magic_code_construction, stabilizer_code_construction
 from .linalg import von_neumann_entropy
-from .magic import MrmInfError, mrm, mrm_enumerated, mrm_inf, wigner_negativity
+from .magic import MrmInfError, mrm, mrm_enumerated, mrm_inf_certificate, wigner_negativity
 from .states import DensityMatrix, preset_state, read_state, state_to_payload
 from .verify import SUITE_NAMES, run_suite
 from .weyl import BSParams, QuditParams, valid_st_pairs, wigner_function
@@ -175,8 +175,9 @@ def cmd_magic(cfg: RunConfig, args) -> int:
     if params.n == 1:
         results["mrm_enumerated_bits"] = mrm_enumerated(env)
         try:
-            results["mrm_inf_bits"] = mrm_inf(env)
-            results["mrm_inf_certified"] = True
+            cone = mrm_inf_certificate(env)
+            results["mrm_inf_bits"] = cone.value_bits
+            results["mrm_inf_certified"] = cone.certified
         except MrmInfError as exc:
             results["mrm_inf_bits"] = exc.best_bound_bits
             results["mrm_inf_certified"] = False

@@ -47,24 +47,26 @@ class CodeSpec:
 
     logical_dim: int
     encoding: np.ndarray  # (d^n, K), orthonormal columns
-    kraus: tuple[np.ndarray, ...]  # decoding Kraus operators, each (K, d^n)
+    kraus: tuple[np.ndarray, ...]  # decoding Kraus operators, each (K, d^n): views into kraus_stack
+    kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)  # (m, K, d^n), one contiguous array
 
     def __post_init__(self):
-        enc = np.ascontiguousarray(np.asarray(self.encoding, dtype=complex))
-        kraus = tuple(np.ascontiguousarray(np.asarray(k, dtype=complex)) for k in self.kraus)
-        object.__setattr__(self, "encoding", enc)
-        object.__setattr__(self, "kraus", kraus)
+        enc = np.ascontiguousarray(self.encoding, dtype=complex)
         k = self.logical_dim
         if enc.shape[1] != k:
             raise ValueError(f"encoding has {enc.shape[1]} columns, expected {k}")
+        dim = enc.shape[0]
+        for kr in self.kraus:
+            if np.shape(kr) != (k, dim):
+                raise ValueError(f"Kraus shape {np.shape(kr)} != ({k}, {dim})")
+        stack = np.array(self.kraus, dtype=complex).reshape(-1, k, dim)
+        object.__setattr__(self, "encoding", enc)
+        object.__setattr__(self, "kraus_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
         gram = enc.conj().T @ enc
         if float(np.max(np.abs(gram - np.eye(k)))) > ISOMETRY_TOL:
             raise ValueError("encoding columns are not orthonormal")
-        dim = enc.shape[0]
-        for kr in kraus:
-            if kr.shape != (k, dim):
-                raise ValueError(f"Kraus shape {kr.shape} != ({k}, {dim})")
-        rows = np.reshape(kraus, (-1, dim))  # every Kraus row: sum_A A^dag A = rows^dag rows
+        rows = stack.reshape(-1, dim)  # every Kraus row: sum_A A^dag A = rows^dag rows
         if float(np.max(np.abs(rows.conj().T @ rows - np.eye(dim)))) > KRAUS_TOL:
             raise ValueError("decoding Kraus operators do not sum to the identity")
 
@@ -84,17 +86,18 @@ def entanglement_fidelity(code: CodeSpec, chan: BeamSplitterChannel) -> float:
     dim = chan.params.dim
     if k > dim:
         raise ValueError(f"logical dimension {k} exceeds physical dimension {dim}")
-    decoded = np.reshape(code.kraus, (-1, k * dim)) @ chan.stinespring_amplitudes(code.encoding.T)
+    decoded = code.kraus_stack.reshape(-1, k * dim) @ chan.stinespring_amplitudes(code.encoding.T)
     return float(np.vdot(decoded, decoded).real) / (k * k)
 
 
-def _dump_kraus(used: np.ndarray) -> tuple[np.ndarray, ...]:
+def _dump_kraus(used: np.ndarray, cut: float = 1e-12) -> tuple[np.ndarray, ...]:
     """Complete a partial decoder, stacked (m, K, dim): append Kraus operators
-    that send the subspace it leaves unaddressed to logical 0."""
+    that send the subspace it leaves unaddressed (eigenvalues of
+    1 - sum A^dag A above ``cut``) to logical 0."""
     _, k, dim = used.shape
     rows = used.reshape(-1, dim)
     vals, vecs = np.linalg.eigh(np.eye(dim) - rows.conj().T @ rows)
-    keep = vals > 1e-12
+    keep = vals > cut
     dump = np.zeros((int(keep.sum()), k, dim), dtype=complex)
     dump[:, 0] = (vecs[:, keep] * np.sqrt(vals[keep])).T.conj()
     return tuple(np.concatenate([used, dump]))
@@ -167,21 +170,29 @@ def pgm_decoder(encoding: np.ndarray, chan: BeamSplitterChannel) -> tuple[np.nda
 
     Measurement operators B rho_i B with rho_i the output of encoded ket i
     and B the pseudo-inverse square root of the output sum, eigendecomposed
-    as one stack; the unresolved subspace is dumped to logical 0.
+    as one stack; the unresolved subspace is dumped to logical 0.  The
+    eigenvalue cuts are relative to the largest eigenvalue of the output
+    sum: its support keeps eigenvalues above 1e-12 of it, and since B
+    amplifies round-off by the sum's condition number c (largest over least
+    kept eigenvalue), the measurement operators and the dump keep
+    eigenvalues above 1e-14 c, far above that round-off, so that the Kraus
+    count does not depend on it.
     """
     k = encoding.shape[1]
     dim = chan.params.dim
     w = chan.stinespring_amplitudes(encoding.T).reshape(k, dim, -1)
     outputs = w @ w.conj().transpose(0, 2, 1)
     vals, vecs = np.linalg.eigh(outputs.sum(axis=0))
-    inv_sqrt = (vecs * np.where(vals > 1e-12, vals, np.inf) ** -0.5) @ vecs.conj().T
+    support = vals > 1e-12 * vals[-1]
+    inv_sqrt = (vecs * np.where(support, vals, np.inf) ** -0.5) @ vecs.conj().T
     m = inv_sqrt @ outputs @ inv_sqrt
     mvals, mvecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
-    logical, col = np.nonzero(mvals > 1e-12)  # logical-major, eigenvalues ascending
+    cut = 1e-14 * vals[-1] / vals[support][0]
+    logical, col = np.nonzero(mvals > cut)  # logical-major, eigenvalues ascending
     kraus = np.zeros((logical.size, k, dim), dtype=complex)
     weights = np.sqrt(mvals[logical, col])[:, None]
     kraus[np.arange(logical.size), logical] = weights * mvecs[logical, :, col].conj()
-    return _dump_kraus(kraus)
+    return _dump_kraus(kraus, cut)
 
 
 def random_relabel_decoder(

@@ -7,10 +7,16 @@ Two relative-entropy-of-magic routes are kept deliberately separate:
   minimal stabilizer-projection family.
 
 The max-relative monotone ``mrm_inf`` minimizes over the convex hull of the
-pure stabilizer states instead, via a cone program solved by cutting planes
-over an in-repo dense-tableau simplex (Bland's rule for anti-cycling).  Cuts
-are only appended, so each round warm-starts the simplex from the previous
-round's optimal basis.
+pure stabilizer states instead: log2 of the least total weight of a
+stabilizer mixture that dominates rho.  That cone program is solved by an
+in-repo primal-dual interior-point method (HKM direction, Mehrotra
+predictor-corrector; Helmberg, Rendl, Vanderbei and Wolkowicz 1996,
+Mehrotra 1992).  Every stabilizer projector has rank one, so each iteration
+factors an n_gen x n_gen Schur matrix only, and both ends of the returned
+bracket are recomputed from the iterate with plain eigendecompositions.
+
+``simplex_max`` is a dense-tableau simplex (Dantzig's rule, then Bland's
+rule against cycling) with warm starts; the cone program no longer uses it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .linalg import relative_entropy, von_neumann_entropy
 from .states import DensityMatrix, StabilizerFamily, mean_state, pure_stabilizer_projectors, stabilizer_family
@@ -26,12 +33,17 @@ from .weyl import wigner_function
 
 PSD_RESIDUAL_TOL = 1e-8
 LP_GAP_TOL = 1e-9
-MAX_CUTS = 500
+MAX_ITERATIONS = 100
 _PIVOT_TOL = 1e-9
+_STEP_FRACTION = 0.95  # share of the way to the cone boundary a step takes
+_GAP_STOP = 1e-12  # relative certified gap at which the iterations stop
+_STALL_WINDOW = 5  # iterations within which the certified gap must halve
+_SCHUR_SHIFTS = (0.0, 1e-15, 1e-13)  # relative diagonal shifts tried in turn
 
 
 class MrmInfError(RuntimeError):
-    """Cutting-plane iteration cap exceeded; carries the best bound so far."""
+    """The cone program stopped short of its certificates; carries the
+    certified lower bound in bits."""
 
     def __init__(self, message: str, best_bound_bits: float):
         super().__init__(message)
@@ -182,12 +194,12 @@ class ConeProgramResult:
     value_bits: float
     total_weight: float
     weights: np.ndarray
-    cuts: int
+    cuts: int  # always 0: the interior-point method adds no cutting planes
     min_residual_eigenvalue: float
-    lp_gap: float
+    lp_gap: float  # certified weight gap: total_weight - lower_bound_weight
     lower_bound_weight: float
-    rounds: int  # LP solves, one per cutting-plane round
-    pivots: int  # simplex pivots summed over the rounds
+    rounds: int  # interior-point iterations
+    pivots: int  # Cholesky factorizations of the Schur matrix
 
     @property
     def certified(self) -> bool:
@@ -201,152 +213,218 @@ class ConeProgramResult:
         )
 
 
-def _residual_spectrum(weights, projectors, rho_matrix):
-    resid = np.einsum("i,ijk->jk", weights, projectors) - rho_matrix
-    return np.linalg.eigh((resid + resid.conj().T) / 2)
+def _generator_vectors(projectors: np.ndarray) -> np.ndarray:
+    """Unit vectors v_i with P_i = v_i v_i^dag, as the columns of a (dim, n_gen) matrix.
 
-
-def _cut_rows(vmat, projectors, rho_matrix):
-    """LP rows of the cuts v: g[m, i] = v_m^dag P_i v_m and b[m] = v_m^dag rho v_m."""
-    g = np.real(np.einsum("mj,ijk,mk->mi", vmat.conj(), projectors, vmat))
-    b = np.clip(np.real(np.einsum("mj,jk,mk->m", vmat.conj(), rho_matrix, vmat)), 0.0, None)
-    return g, b
-
-
-def _scale_to_feasible(weights, projectors, rho_matrix):
-    """Smallest multiple of the weight vector whose mixture dominates rho.
-
-    Returns None when the mixture misses part of the state's support.  The
-    result is re-verified through the residual spectrum, so callers can trust
-    PSD-ness independent of how the candidate was produced.
+    Column j of a rank-one projector is v conj(v_j), so the column on the
+    largest diagonal entry, divided by its square root, is v up to a phase.
     """
-    a = np.einsum("i,ijk->jk", weights, projectors)
-    a = (a + a.conj().T) / 2
-    avals, avecs = np.linalg.eigh(a)
-    on = avals > 1e-12
-    off = avecs[:, ~on]
-    if off.shape[1]:
-        outside = float(np.real(np.einsum("ij,jk,ik->", off.conj().T, rho_matrix, off.T)))
-        if outside > 1e-12:
-            return None
-    half = avecs[:, on] * avals[on] ** -0.5
-    lam = float(np.linalg.eigvalsh(half.conj().T @ rho_matrix @ half)[-1]) * (1 + 1e-12)
-    candidate = lam * weights
-    if _residual_spectrum(candidate, projectors, rho_matrix)[0][0] < -1e-10:
-        return None
-    return candidate
+    diag = np.real(np.einsum("ijj->ij", projectors))
+    cols = np.argmax(diag, axis=1)
+    rows = np.arange(len(projectors))
+    return (projectors[rows, :, cols] / np.sqrt(diag[rows, cols])[:, None]).T
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2
+
+
+def _inverse_factor(x: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of a positive definite x."""
+    chol = np.linalg.cholesky(x)
+    return solve_triangular(chol, np.eye(len(x)), lower=True, check_finite=False)
+
+
+def _psd_step(inv_chol: np.ndarray, delta: np.ndarray) -> float:
+    """Largest t with L L^dag + t delta PSD, from the eigenvalues of L^-1 delta L^-dag."""
+    low = float(np.linalg.eigvalsh(inv_chol @ delta @ inv_chol.conj().T)[0])
+    return -1.0 / low if low < 0 else math.inf
+
+
+def _ray_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest t with x + t dx >= 0."""
+    falling = dx < 0
+    return float(np.min(-x[falling] / dx[falling])) if falling.any() else math.inf
+
+
+def _upper_certificate(y, vecs, rho_m) -> tuple[np.ndarray, float]:
+    """Weights whose mixture dominates rho: y clipped to >= 0, then shifted
+    uniformly by -lambda_min dim / n_gen, since sum_i P_i = (n_gen / dim) I."""
+    dim, n_gen = vecs.shape
+    weights = np.clip(y, 0.0, None)
+    low = float(np.linalg.eigvalsh((vecs * weights) @ vecs.conj().T - rho_m)[0])
+    if low < 0:
+        weights = weights - low * dim / n_gen
+    return weights, float(np.sum(weights))
+
+
+def _lower_certificate(w, vecs, rho_m) -> float:
+    """Tr(rho W~) for the dual-feasible W~ = W_+ / max_i v_i^dag W_+ v_i, with
+    W_+ the PSD part of W: any weights y with sum_i y_i P_i >= rho have
+    sum(y) >= sum_i y_i v_i^dag W~ v_i >= Tr(rho W~)."""
+    vals, basis = np.linalg.eigh(w)
+    vals = np.clip(vals, 0.0, None)
+    scale = float(np.max((np.abs(basis.conj().T @ vecs) ** 2).T @ vals))
+    return float(np.real(np.sum(basis.conj() * (rho_m @ basis), axis=0)) @ vals) / scale
+
+
+def _schur_factor(m: np.ndarray) -> tuple[tuple, int]:
+    """Cholesky factor of the Schur matrix and the number of factorizations.
+
+    M vanishes, up to diag(z / y), on the weights that leave
+    sum_i y_i P_i unchanged (each stabilizer basis sums to the identity),
+    so near a degenerate optimum it loses definiteness to round-off.  The
+    factorization is then retried with the diagonal scaled by 1 + t for the
+    shifts t in ``_SCHUR_SHIFTS``.
+    """
+    diag = m.diagonal().copy()
+    for count, shift in enumerate(_SCHUR_SHIFTS, start=1):
+        np.fill_diagonal(m, diag * (1.0 + shift))
+        try:
+            return cho_factor(m, lower=True, check_finite=False), count
+        except np.linalg.LinAlgError:
+            if count == len(_SCHUR_SHIFTS):
+                raise
+
+
+def _hkm_step(vecs, rho_m, y, s, w, z):
+    """One HKM predictor-corrector step; returns the new iterate and the
+    number of Schur factorizations.
+
+    With G_W = V^dag W V and G_S = V^dag S^-1 V, the Schur matrix is
+    M = Re[G_W o G_S^T] + diag(z / y).  Both directions solve M dy = r with
+    the same factor; dS = V diag(dy) V^dag - R_p keeps the primal equation,
+    dW = t S^-1 - W - sym(W dS S^-1) [- sym(dW_a dS_a S^-1)] is the HKM
+    direction and dz = r_d - diag(V^dag dW V) keeps the dual equation.  The
+    corrector targets sigma mu with sigma = (mu_aff / mu)^3 (Mehrotra).
+    Primal and dual take one common step.
+    """
+    dim, n_gen = vecs.shape
+    vecs_h = vecs.conj().T
+    vecs_c = vecs_h.T
+    inv_s, inv_w = _inverse_factor(s), _inverse_factor(w)
+    half = inv_s @ vecs
+    s_inv = inv_s.conj().T @ inv_s
+    s_inv_v = inv_s.conj().T @ half
+    g_s = half.conj().T @ half
+    g_w = vecs_h @ (w @ vecs)
+    s_diag, r_d = g_s.diagonal().real.copy(), 1.0 - z - g_w.diagonal().real
+    np.multiply(g_w.imag, g_s.imag, out=g_w.imag)  # in place, g_w's last use
+    m = g_w.real * g_s.real
+    m += g_w.imag
+    m[np.diag_indices(n_gen)] += z / y
+    del g_s, g_w  # the largest arrays of a step; drop them before factoring
+    factor, factorizations = _schur_factor(m)
+    r_p = _herm(rho_m + s - (vecs * y) @ vecs_h)
+    mu = (np.real(np.vdot(s, w)) + y @ z) / (dim + n_gen)
+
+    def diag_re(a, right):
+        # Re diag(V^dag a right)
+        return np.real(np.sum(vecs_c * (a @ right), axis=0))
+
+    def direction(target, second=None):
+        rhs = target * (s_diag + 1.0 / y) - 1.0 + diag_re(w @ r_p, s_inv_v)
+        if second is not None:
+            rhs -= diag_re(second[0], s_inv_v) + second[1] / y
+        dy = cho_solve(factor, rhs, check_finite=False)
+        ds = (vecs * dy) @ vecs_h - r_p
+        dw = target * s_inv - w - _herm(w @ ds @ s_inv)
+        if second is not None:
+            dw -= _herm(second[0] @ s_inv)
+        dw = _herm(dw)
+        dz = r_d - diag_re(dw, vecs)
+        limits = (_psd_step(inv_s, ds), _ray_step(y, dy), _psd_step(inv_w, dw), _ray_step(z, dz))
+        return dy, ds, dw, dz, min(1.0, _STEP_FRACTION * min(limits))
+
+    dy, ds, dw, dz, alpha = direction(0.0)
+    mu_aff = (np.real(np.vdot(s + alpha * ds, w + alpha * dw)) + (y + alpha * dy) @ (z + alpha * dz)) / (dim + n_gen)
+    sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
+    dy, ds, dw, dz, alpha = direction(sigma * mu, (dw @ ds, dz * dy))
+    return y + alpha * dy, _herm(s + alpha * ds), _herm(w + alpha * dw), z + alpha * dz, factorizations
 
 
 def mrm_inf_certificate(
     rho: DensityMatrix,
     family: StabilizerFamily | None = None,
     psd_tol: float = PSD_RESIDUAL_TOL,
-    max_cuts: int = MAX_CUTS,
     value_tol_bits: float = 1e-7,
 ) -> ConeProgramResult:
     """Solve min sum(y) s.t. sum_i y_i P_i >= rho, y >= 0 over pure stabilizer
-    projectors P_i, returning log2 of the optimum plus its certificates.
+    projectors P_i = v_i v_i^dag, returning log2 of the optimum plus its
+    certificates.
 
-    Cutting planes over an in-repo dense simplex: the scalarized LP keeps
-    constraints v^dag(sum y_i P_i)v >= v^dag rho v for accumulated unit
-    vectors v and is solved through its dual, where each cut is a column and
-    the generator weights come off the slack reduced costs.  Cuts are only
-    appended, so each round computes the rows of its new cuts alone and
-    warm-starts the simplex from the previous optimal basis, which stays
-    primal-feasible.  Each round separates on the negative eigenspace of the
-    residual, at a point pulled toward a feasible incumbent (in-out
-    stabilization), and the incumbent itself is maintained by exact rescaling
-    of LP iterates.  Termination: the LP weights reach a PSD residual within
-    ``psd_tol``, or the incumbent is pinched against the LP lower bound within
-    ``value_tol_bits``; either way the returned weights satisfy the PSD
-    certificate.  Past ``max_cuts`` cuts it raises ``MrmInfError``.
+    A primal-dual interior-point method (HKM direction, Mehrotra
+    predictor-corrector) on the pair
+
+        primal  min 1^T y   s.t. S = V diag(y) V^dag - rho >= 0, y >= 0,
+        dual    max Tr(rho W) s.t. v_i^dag W v_i + z_i = 1, W >= 0, z >= 0,
+
+    from the feasible start y = 2, W = I / 2, z = 1 / 2 (sum_i P_i is a
+    multiple of the identity).  The generators are rank one, so the Schur
+    matrix is only n_gen x n_gen.  Each iterate is certified without trusting
+    the solver: the upper bound is the weight of y made feasible by an
+    eigenvalue shift, the lower bound the value of the PSD part of W scaled
+    into the dual constraints.  The best bounds seen are kept, and the
+    iterations stop once they pinch to a relative gap of 1e-12, when the gap
+    fails to halve within five iterations, at a numerical breakdown, or
+    after ``MAX_ITERATIONS``.  The weights are returned if their residual
+    spectrum clears ``-psd_tol`` and the bracket is within
+    ``value_tol_bits``; otherwise ``MrmInfError`` carries the certified
+    lower bound.
     """
     if family is not None and family.params != rho.params:
         raise ValueError("family layout does not match the state")
-    projectors = (
+    vecs = _generator_vectors(
         np.stack([s.matrix for s in family.pure_states()])
         if family is not None
         else pure_stabilizer_projectors(rho.params)
     )
-    dim = rho.params.dim
-    n_gen = projectors.shape[0]
     rho_m = rho.matrix
-
-    # uniform mixture over the generators is proportional to the identity, so
-    # a scaled copy is always feasible and seeds the incumbent
-    evals, evecs = np.linalg.eigh(rho_m)
-    incumbent = np.full(n_gen, float(evals[-1]) / (rho.params.d + 1) * (1 + 1e-12))
-    base_cuts = np.vstack([np.eye(dim, dtype=complex), evecs[:, evals > 1e-12].T])
-    g, b = _cut_rows(base_cuts, projectors, rho_m)
-    basis = None
+    n_gen = vecs.shape[1]
+    y, z = np.full(n_gen, 2.0), np.full(n_gen, 0.5)
+    w = np.eye(rho.params.dim) / 2
+    s = (vecs * y) @ vecs.conj().T - rho_m
+    weights, upper, lower = None, math.inf, 0.0
     rounds = pivots = 0
-
-    def finish(weights, spectrum_min, lp_gap, lower):
-        total = float(np.sum(weights))
-        return ConeProgramResult(
-            value_bits=math.log2(max(total, 1e-300)),
-            total_weight=total,
-            weights=weights,
-            cuts=len(b),
-            min_residual_eigenvalue=spectrum_min,
-            lp_gap=lp_gap,
-            lower_bound_weight=lower,
-            rounds=rounds,
-            pivots=pivots,
-        )
-
-    lower = 0.0
-    while len(b) <= max_cuts:
-        lp = simplex_max(b, g.T, np.ones(n_gen), basis=basis)
-        basis = lp.basis
-        rounds += 1
-        pivots += lp.pivots
-        y_lp = lp.dual
-        lower = max(lower, lp.objective)
-        lp_gap = abs(float(np.sum(y_lp)) - lp.objective)
-
-        vals, vecs = _residual_spectrum(y_lp, projectors, rho_m)
-        if vals[0] >= -psd_tol:
-            return finish(y_lp, float(vals[0]), lp_gap, lower)
-
-        tightened = _scale_to_feasible(y_lp, projectors, rho_m)
-        if tightened is not None and tightened.sum() < incumbent.sum():
-            incumbent = tightened
-
-        # separate along the segment from the incumbent toward the LP vertex
-        cut_point = None
-        t = 0.5
-        for _ in range(12):
-            z = (1 - t) * incumbent + t * y_lp
-            zvals, zvecs = _residual_spectrum(z, projectors, rho_m)
-            if zvals[0] < -1e-10:
-                cut_point = (zvals, zvecs)
+    gaps = []
+    stop = f"iteration cap {MAX_ITERATIONS}"
+    with np.errstate(all="raise", under="ignore"):
+        while True:
+            candidate, total = _upper_certificate(y, vecs, rho_m)
+            if total < upper:
+                weights, upper = candidate, total
+            lower = max(lower, _lower_certificate(w, vecs, rho_m))
+            gaps.append(upper - lower)
+            if gaps[-1] <= _GAP_STOP * upper or rounds == MAX_ITERATIONS:
                 break
-            scaled = _scale_to_feasible(z, projectors, rho_m)
-            if scaled is not None and scaled.sum() < incumbent.sum():
-                incumbent = scaled
-            t += (1 - t) * 0.5
-        # tested after the segment search: its rescaled points can pinch the bracket
-        if math.log2(float(incumbent.sum())) - math.log2(max(lower, 1e-300)) <= value_tol_bits:
-            spectrum_min = float(_residual_spectrum(incumbent, projectors, rho_m)[0][0])
-            return finish(incumbent, spectrum_min, lp_gap, lower)
-        if cut_point is None:
-            cut_point = (vals, vecs)
-        rvals, rvecs = cut_point
-        negs = [rvecs[:, k] for k in range(dim) if rvals[k] < -1e-10]
-        new_cuts = list(negs)
-        for a_i in range(len(negs)):
-            for b_i in range(a_i + 1, len(negs)):
-                new_cuts.append((negs[a_i] + negs[b_i]) / np.sqrt(2))
-                new_cuts.append((negs[a_i] + 1j * negs[b_i]) / np.sqrt(2))
-        g_new, b_new = _cut_rows(np.stack(new_cuts), projectors, rho_m)
-        g = np.vstack([g, g_new])
-        b = np.concatenate([b, b_new])
-
-    raise MrmInfError(
-        f"cutting planes did not certify PSD within {max_cuts} cuts "
-        f"(bracket [{lower:.9f}, {float(incumbent.sum()):.9f}])",
-        best_bound_bits=math.log2(max(lower, 1e-300)),
+            if len(gaps) > _STALL_WINDOW and gaps[-1] > 0.5 * gaps[-1 - _STALL_WINDOW]:
+                stop = f"gap not halved in {_STALL_WINDOW} iterations"
+                break
+            try:
+                y, s, w, z, factorizations = _hkm_step(vecs, rho_m, y, s, w, z)
+            except (np.linalg.LinAlgError, FloatingPointError) as exc:
+                stop = f"numerical breakdown ({exc})"
+                break
+            rounds += 1
+            pivots += factorizations
+        min_resid = float(np.linalg.eigvalsh((vecs * weights) @ vecs.conj().T - rho_m)[0])
+    bracket = math.log2(upper) - math.log2(max(lower, 1e-300))
+    if min_resid < -psd_tol or not bracket <= value_tol_bits:
+        raise MrmInfError(
+            f"interior-point method stopped ({stop}) after {rounds} iterations "
+            f"with the weight bracket [{lower:.12f}, {upper:.12f}]",
+            best_bound_bits=math.log2(max(lower, 1e-300)),
+        )
+    return ConeProgramResult(
+        value_bits=math.log2(upper),
+        total_weight=upper,
+        weights=weights,
+        cuts=0,
+        min_residual_eigenvalue=min_resid,
+        lp_gap=upper - lower,
+        lower_bound_weight=lower,
+        rounds=rounds,
+        pivots=pivots,
     )
 
 

@@ -251,14 +251,15 @@ def entanglement_fidelity_loop(
     return float(np.real(phi.conj() @ decoded @ phi))
 
 
-def dump_kraus_loop(logical_dim: int, dim: int, used: list[np.ndarray]) -> list[np.ndarray]:
+def dump_kraus_loop(logical_dim: int, dim: int, used: list[np.ndarray], cut: float = 1e-12) -> list[np.ndarray]:
     """Kraus operators sending the subspace a partial decoder leaves
-    unaddressed to logical 0, one eigenvector at a time."""
+    unaddressed (eigenvalues of 1 - sum A^dag A above ``cut``) to logical 0,
+    one eigenvector at a time."""
     total = sum(kr.conj().T @ kr for kr in used) if used else np.zeros((dim, dim), dtype=complex)
     vals, vecs = np.linalg.eigh(np.eye(dim) - total)
     out = []
     for val, vec in zip(vals, vecs.T):
-        if val > 1e-12:
+        if val > cut:
             kr = np.zeros((logical_dim, dim), dtype=complex)
             kr[0] = math.sqrt(val) * vec.conj()
             out.append(kr)
@@ -267,21 +268,26 @@ def dump_kraus_loop(logical_dim: int, dim: int, used: list[np.ndarray]) -> list[
 
 def pgm_decoder_loop(encoding: np.ndarray, sigma: np.ndarray, unitary: np.ndarray) -> list[np.ndarray]:
     """Pretty-good-measurement decoder, one channel output and one
-    eigendecomposition per encoded ket, completed by ``dump_kraus_loop``."""
+    eigendecomposition per encoded ket, completed by ``dump_kraus_loop``.
+    Eigenvalue cuts: 1e-12 of the output sum's largest eigenvalue for its
+    support, 1e-14 times its condition number for the measurement operators
+    and the dump."""
     dim, k = encoding.shape
     outputs = [reference_output_dense(encoding[:, i][None], sigma, unitary) for i in range(k)]
     vals, vecs = np.linalg.eigh(sum(outputs))
-    inv_sqrt = (vecs * [(v**-0.5 if v > 1e-12 else 0.0) for v in vals]) @ vecs.conj().T
+    floor = 1e-12 * max(vals)
+    inv_sqrt = (vecs * [(v**-0.5 if v > floor else 0.0) for v in vals]) @ vecs.conj().T
+    cut = 1e-14 * max(vals) / min(v for v in vals if v > floor)
     kraus = []
     for i, out in enumerate(outputs):
         m = inv_sqrt @ out @ inv_sqrt
         mvals, mvecs = np.linalg.eigh((m + m.conj().T) / 2)
         for val, vec in zip(mvals, mvecs.T):
-            if val > 1e-12:
+            if val > cut:
                 kr = np.zeros((k, dim), dtype=complex)
                 kr[i] = math.sqrt(val) * vec.conj()
                 kraus.append(kr)
-    return kraus + dump_kraus_loop(k, dim, kraus)
+    return kraus + dump_kraus_loop(k, dim, kraus, cut)
 
 
 def code_to_payload(code) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmc.cli import main
-from qmc.states import preset_state, write_state
+from qmc.states import preset_state, random_density_matrix, write_state
 from qmc.weyl import QuditParams
 
 
@@ -85,6 +85,16 @@ class TestMagicAndWigner:
         results = json.loads(out)["results"]
         assert results["mrm_bits"] == pytest.approx(math.log2(7), abs=1e-9)
         assert results["wigner_negativity"] > 0
+
+    def test_magic_certifies_a_full_rank_d11_file_environment(self, capsys, tmp_path):
+        path = tmp_path / "env.json"
+        write_state(path, random_density_matrix(QuditParams(11), np.random.default_rng(2024)))
+        code, out = run(["magic", "--d", "11", "--env", f"file:{path}"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["mrm_inf_certified"] is True
+        assert "mrm_inf_note" not in results
+        assert results["mrm_inf_bits"] == pytest.approx(0.575133430425, abs=1e-9)
 
     def test_wigner_negativity_reported(self, capsys):
         code, out = run(["wigner", "--d", "7", "--env", "preset:uniform-01"], capsys)

@@ -180,6 +180,18 @@ class TestPgmDecoder:
         code = CodeSpec(2, enc, kraus)  # constructor checks Kraus completeness
         assert entanglement_fidelity(code, chan) == pytest.approx(0.5, abs=1e-9)
 
+    def test_kraus_count_matches_loop_route_on_ill_conditioned_outputs(self):
+        # the output sum's least eigenvalue is 1.6e-5; with fixed 1e-12 cuts
+        # the dump met 1.8e-12 of round-off on the stacked route only and
+        # returned 14 Kraus operators against the loop route's 13
+        rng = np.random.default_rng(20)
+        chan = BeamSplitterChannel(BSParams(P13, 2, 7), random_density_matrix(P13, rng, rank=1))
+        enc = random_isometry(13, 1, rng)
+        stacked, loop = pgm_decoder(enc, chan), oracle_pgm(enc, chan)
+        assert len(stacked) == len(loop)
+        fidelities = [entanglement_fidelity(CodeSpec(1, enc, kraus), chan) for kraus in (stacked, loop)]
+        assert abs(fidelities[0] - fidelities[1]) <= 1e-12
+
 
 class TestCeilingSearch:
     def test_never_beats_the_ceiling(self):

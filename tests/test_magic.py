@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qmc.magic as magic
 from qmc.channel import displace
 from qmc.magic import (
     ConeProgramResult,
@@ -30,6 +31,17 @@ from qmc.weyl import QuditParams, WeylIndex
 from oracles import max_relative_entropy, stabilizer_weight_bracket
 
 P7 = QuditParams(7)
+
+
+def assert_recomputed_certificates(rho, result, projectors):
+    """Residual spectrum and weight gap from the returned weights alone."""
+    weights = np.asarray(result.weights)
+    resid = np.einsum("i,ijk->jk", weights, projectors) - rho.matrix
+    assert weights.min() >= 0.0
+    assert np.linalg.eigvalsh((resid + resid.conj().T) / 2)[0] >= -1e-8
+    assert result.value_bits == pytest.approx(math.log2(weights.sum()), abs=1e-12)
+    assert -1e-12 <= weights.sum() - result.lower_bound_weight <= 1e-9
+    assert result.certified
 
 
 class TestMrm:
@@ -183,29 +195,60 @@ class TestMrmInf:
         assert runs[0].value_bits == runs[1].value_bits
 
     def test_full_rank_panel_certifies(self):
-        # 12 seeded full-rank d=7 states; cold-started rounds with cut
-        # pruning hit the 500-cut cap on 2 of them (indices 4 and 8), so no
-        # more may fail
+        # 20 seeded full-rank d=7 states: every one certifies, with both
+        # certificates recomputed here from the returned weights
         rng = np.random.default_rng(2024)
-        states = [random_density_matrix(P7, rng) for _ in range(12)]
-        results, failures = [], 0
-        for rho in states:
-            try:
-                results.append((rho, mrm_inf_certificate(rho)))
-            except MrmInfError:
-                failures += 1
-        assert failures <= 2
-        for _, result in results:
-            assert result.certified and result.cuts <= 500
+        states = [random_density_matrix(P7, rng) for _ in range(20)]
         projectors = pure_stabilizer_projectors(P7)
-        for rho, result in results[:2]:
+        results = [mrm_inf_certificate(rho) for rho in states]
+        for rho, result in zip(states, results):
+            assert_recomputed_certificates(rho, result, projectors)
+        for rho, result in zip(states[:2], results):
             w_lo, w_hi = stabilizer_weight_bracket(rho.matrix, projectors)
             assert math.log2(w_lo) - 1e-4 <= result.value_bits <= math.log2(w_hi) + 1e-4
 
+    @pytest.mark.parametrize("d, count", [(11, 5), (13, 3)])
+    def test_large_full_rank_panels_certify(self, d, count):
+        # the cutting planes hit their 500-cut cap on every one of these
+        params = QuditParams(d)
+        rng = np.random.default_rng(2024)
+        projectors = pure_stabilizer_projectors(params)
+        for _ in range(count):
+            rho = random_density_matrix(params, rng)
+            assert_recomputed_certificates(rho, mrm_inf_certificate(rho), projectors)
+
+    @pytest.mark.parametrize("d", [7, 11, 13])
+    def test_zero_on_stabilizer_states_and_maximally_mixed(self, d):
+        params = QuditParams(d)
+        family = stabilizer_family(params)
+        states = [family.state_at(i) for i in (0, d, len(family) - 2)] + [preset_state("maximally-mixed", params)]
+        projectors = pure_stabilizer_projectors(params)
+        for rho in states:
+            result = mrm_inf_certificate(rho)
+            assert abs(result.value_bits) <= 1e-9
+            assert_recomputed_certificates(rho, result, projectors)
+
+    def test_iteration_cap_raises_with_a_certified_lower_bound(self, monkeypatch):
+        rho = random_density_matrix(P7, np.random.default_rng(5))
+        value = mrm_inf_certificate(rho).value_bits
+        monkeypatch.setattr(magic, "MAX_ITERATIONS", 2)
+        with pytest.raises(MrmInfError, match="iteration cap 2") as info:
+            mrm_inf_certificate(rho)
+        assert math.isfinite(info.value.best_bound_bits)
+        assert info.value.best_bound_bits <= value
+
+    def test_counters_describe_the_interior_point_run(self):
+        result = mrm_inf_certificate(random_density_matrix(P7, np.random.default_rng(12)))
+        assert result.cuts == 0
+        assert 1 <= result.rounds < magic.MAX_ITERATIONS
+        # one Schur factorization per iteration, more when it is retried
+        # with a shifted diagonal
+        assert result.rounds <= result.pivots <= len(magic._SCHUR_SHIFTS) * result.rounds
+
     def test_soft_comparison_with_mean_state_route(self, rng):
         # empirical comparison only: findings are reported, not asserted away;
-        # full-rank inputs may exhaust the cut cap, in which case the carried
-        # lower bound still decides the comparison direction
+        # should the cone program stop short, the carried lower bound still
+        # decides the comparison direction
         findings = []
         for k in range(3):
             rho = random_density_matrix(P7, rng)
