@@ -200,6 +200,7 @@ class ConeProgramResult:
     lower_bound_weight: float
     rounds: int  # interior-point iterations
     pivots: int  # Cholesky factorizations of the Schur matrix
+    dual: np.ndarray  # the scaled dual W~ with Tr(rho W~) = lower_bound_weight
 
     @property
     def certified(self) -> bool:
@@ -258,13 +259,18 @@ def _upper_certificate(y, vecs, rho_m) -> tuple[np.ndarray, float]:
     return weights, float(np.sum(weights))
 
 
-def _lower_certificate(w, vecs, rho_m) -> float:
-    """Tr(rho W~) for the dual-feasible W~ = W_+ / max_i v_i^dag W_+ v_i, with
-    W_+ the PSD part of W: any weights y with sum_i y_i P_i >= rho have
-    sum(y) >= sum_i y_i v_i^dag W~ v_i >= Tr(rho W~)."""
+def _psd_part(w, vecs) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues and basis of W_+, the PSD part of W, and the scale
+    max_i v_i^dag W_+ v_i that makes W~ = W_+ / scale dual feasible."""
     vals, basis = np.linalg.eigh(w)
     vals = np.clip(vals, 0.0, None)
-    scale = float(np.max((np.abs(basis.conj().T @ vecs) ** 2).T @ vals))
+    return vals, basis, float(np.max((np.abs(basis.conj().T @ vecs) ** 2).T @ vals))
+
+
+def _lower_certificate(w, vecs, rho_m) -> float:
+    """Tr(rho W~) for the scaled dual W~: any weights y with
+    sum_i y_i P_i >= rho have sum(y) >= sum_i y_i v_i^dag W~ v_i >= Tr(rho W~)."""
+    vals, basis, scale = _psd_part(w, vecs)
     return float(np.real(np.sum(basis.conj() * (rho_m @ basis), axis=0)) @ vals) / scale
 
 
@@ -384,7 +390,7 @@ def mrm_inf_certificate(
     y, z = np.full(n_gen, 2.0), np.full(n_gen, 0.5)
     w = np.eye(rho.params.dim) / 2
     s = (vecs * y) @ vecs.conj().T - rho_m
-    weights, upper, lower = None, math.inf, 0.0
+    weights, upper, lower, kept_w = None, math.inf, 0.0, w
     rounds = pivots = 0
     gaps = []
     stop = f"iteration cap {MAX_ITERATIONS}"
@@ -393,7 +399,9 @@ def mrm_inf_certificate(
             candidate, total = _upper_certificate(y, vecs, rho_m)
             if total < upper:
                 weights, upper = candidate, total
-            lower = max(lower, _lower_certificate(w, vecs, rho_m))
+            bound = _lower_certificate(w, vecs, rho_m)
+            if bound > lower:
+                lower, kept_w = bound, w
             gaps.append(upper - lower)
             if gaps[-1] <= _GAP_STOP * upper or rounds == MAX_ITERATIONS:
                 break
@@ -415,6 +423,7 @@ def mrm_inf_certificate(
             f"with the weight bracket [{lower:.12f}, {upper:.12f}]",
             best_bound_bits=math.log2(max(lower, 1e-300)),
         )
+    vals, basis, scale = _psd_part(kept_w, vecs)
     return ConeProgramResult(
         value_bits=math.log2(upper),
         total_weight=upper,
@@ -425,6 +434,7 @@ def mrm_inf_certificate(
         lower_bound_weight=lower,
         rounds=rounds,
         pivots=pivots,
+        dual=_herm((basis * (vals / scale)) @ basis.conj().T),
     )
 
 

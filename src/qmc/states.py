@@ -1,8 +1,9 @@
 """State construction and the stabilizer universe.
 
-Density matrices, named preset states, enumeration of the minimal
-stabilizer-projection family, mean states, phase-space inversion symmetry,
-random state sampling, and the JSON state file format.
+Density matrices, named preset states, the minimal stabilizer-projection
+family (one member per isotropic subspace of Z_d^{2n} and character), mean
+states, phase-space inversion symmetry, random state sampling, and the JSON
+state file format.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ from .weyl import (
     clifford_from_word,
     random_clifford,
     _digit_table,
+    _powers,
     _weyl_monomials,
 )
 
@@ -200,50 +203,68 @@ def _materialize_member(params: QuditParams, member: StabilizerMember) -> Densit
     return DensityMatrix(params, out / dim)
 
 
-def _line_directions(params: QuditParams) -> list[WeylIndex]:
-    """One primitive representative per line through the phase-space origin (n=1)."""
-    d = params.d
-    dirs = [WeylIndex.make(params, 0, 1)]
-    dirs += [WeylIndex.make(params, 1, m) for m in range(d)]
-    return dirs
+def _isotropic_family(params: QuditParams) -> StabilizerFamily:
+    """Members from the isotropic subspaces of Z_d^{2n} (Gross 2006), n <= 2.
+
+    The lines are the primitive vectors (first nonzero digit 1), in
+    lexicographic order.  For n = 2 the planes are the commuting line pairs
+    (i, j) whose other d - 1 lines u_i + c u_j all have an index above j: each
+    plane once, under its two lowest lines.  Planes come before lines, each
+    subspace with its d^rank characters (the first generator's slowest), and
+    the maximally mixed member last.
+    """
+    d, n = params.d, params.n
+    digits = _digit_table(d, 2 * n)[1:]
+    lead = digits[np.arange(len(digits)), np.argmax(digits > 0, axis=1)]
+    lines = digits[lead == 1]  # rows are (p, q)
+    subspaces = [(k,) for k in range(len(lines))]
+    if n == 2:
+        encode = _powers(d, 2 * n)
+        line_of = np.empty(d ** (2 * n), dtype=np.int64)  # nonzero vector -> its line
+        for a in range(1, d):
+            line_of[(a * lines % d) @ encode] = np.arange(len(lines))
+        # symplectic form p_u . q_v - q_u . p_v
+        gram = (lines[:, :n] @ lines[:, n:].T - lines[:, n:] @ lines[:, :n].T) % d
+        i, j = np.nonzero(np.triu(gram == 0, 1))
+        others = line_of[((lines[i, None] + np.arange(1, d)[:, None] * lines[j, None]) % d) @ encode]
+        keep = others.min(axis=1) > j
+        subspaces = list(zip(i[keep].tolist(), j[keep].tolist())) + subspaces
+    labels = [WeylIndex(tuple(v[:n]), tuple(v[n:])) for v in lines.tolist()]
+    omega = np.exp(2j * np.pi / d)
+    chars = [omega**k for k in range(d)]
+    family = StabilizerFamily(params)
+    for gens in subspaces:
+        for js in product(chars, repeat=len(gens)):
+            family.members.append(StabilizerMember(len(gens), tuple(zip((labels[g] for g in gens), js))))
+    family.members.append(StabilizerMember(rank=0, generators=()))
+    return family
 
 
-def enumerate_stabilizers(
-    params: QuditParams, heavy: bool = False, cache_path=None
-) -> StabilizerFamily:
+def enumerate_stabilizers(params: QuditParams) -> StabilizerFamily:
     """All minimal stabilizer-projection states for (d, n).
 
-    n=1: the d eigenstates of each of the d+1 phase-space directions (all
-    d(d+1) pure states) plus the maximally mixed state, states materialized
-    eagerly.  n=2 is supported for d=7 only behind ``heavy=True``: members
-    are enumerated as generator descriptors (19,600 pure states and the
-    lower-rank projections) and materialized lazily; pass ``cache_path`` to
-    persist/reuse the descriptor table.
+    n=1: the d eigenstates of each of the d+1 phase-space lines (all d(d+1)
+    pure states) plus the maximally mixed state, cached with their states
+    materialized.  d=7, n=2: the 19,600 pure states, the 2,800 rank-one
+    projections and the maximally mixed state, built afresh on each call
+    (about 0.1 s) with their states materialized on demand.
     """
     params.require_odd()
     if params.n == 1:
-        return _enumerate_single(params)
-    if params.n == 2 and params.d == 7 and heavy:
-        return _enumerate_heavy_two(params, cache_path)
+        return _single_family(params)
+    if params.n == 2 and params.d == 7:
+        return _isotropic_family(params)
     raise ValueError(
-        f"stabilizer enumeration unsupported for (d={params.d}, n={params.n}); "
-        "n=2 requires d=7 and heavy=True"
+        f"stabilizer enumeration unsupported for (d={params.d}, n={params.n}); n=2 requires d=7"
     )
 
 
 @lru_cache(maxsize=None)
-def _enumerate_single(params: QuditParams) -> StabilizerFamily:
-    d = params.d
-    omega = np.exp(2j * np.pi / d)
-    family = StabilizerFamily(params)
-    for direction in _line_directions(params):
-        for j in range(d):
-            member = StabilizerMember(rank=1, generators=((direction, omega**j),))
-            member.state = _materialize_member(params, member)
-            family.members.append(member)
-    family.members.append(
-        StabilizerMember(rank=0, generators=(), state=preset_state("maximally-mixed", params))
-    )
+def _single_family(params: QuditParams) -> StabilizerFamily:
+    """The n=1 family with every state materialized, built once per layout."""
+    family = _isotropic_family(params)
+    for i in range(len(family)):
+        family.state_at(i)
     return family
 
 
@@ -251,7 +272,7 @@ def stabilizer_family(params: QuditParams) -> StabilizerFamily:
     """Cached n=1 enumeration; raises ValueError for any other n."""
     if params.n != 1:
         raise ValueError(f"the stabilizer family is available for n=1 only, got n={params.n}")
-    return _enumerate_single(params)
+    return _single_family(params)
 
 
 def pure_stabilizer_projectors(params: QuditParams) -> np.ndarray:
@@ -260,108 +281,6 @@ def pure_stabilizer_projectors(params: QuditParams) -> np.ndarray:
         raise ValueError("pure stabilizer projector stack is available for n=1 only")
     family = stabilizer_family(params)
     return np.stack([s.matrix for s in family.pure_states()])
-
-
-def _primitive_points(d: int, n: int) -> list[tuple[int, ...]]:
-    """One representative per line through the origin of Z_d^{2n}."""
-    digits = _digit_table(d, 2 * n)
-    reps = []
-    seen = set()
-    for row in digits[1:]:
-        vec = tuple(int(v) for v in row)
-        if vec in seen:
-            continue
-        # canonicalize: first nonzero component scaled to 1
-        lead = next(v for v in vec if v)
-        inv = pow(lead, -1, d)
-        canon = tuple((inv * v) % d for v in vec)
-        if canon not in seen:
-            reps.append(canon)
-        for k in range(1, d):
-            seen.add(tuple((k * v) % d for v in vec))
-    return reps
-
-
-def _vec_to_index(params: QuditParams, vec: Sequence[int]) -> WeylIndex:
-    n = params.n
-    return WeylIndex.make(params, vec[:n], vec[n:])
-
-
-def _enumerate_heavy_two(params: QuditParams, cache_path) -> StabilizerFamily:
-    d = params.d
-    if cache_path is not None:
-        try:
-            payload = np.load(cache_path, allow_pickle=False)
-            return _family_from_arrays(params, payload["gens"], payload["chars"], payload["ranks"])
-        except (FileNotFoundError, OSError):
-            pass
-
-    points = _primitive_points(d, params.n)
-    omega = np.exp(2j * np.pi / d)
-
-    def symp(u, v):
-        n = params.n
-        return sum(u[i] * v[n + i] - v[i] * u[n + i] for i in range(n)) % d
-
-    # maximal isotropic planes: pairs of commuting independent directions
-    planes = {}
-    for i, u in enumerate(points):
-        for v in points[i + 1 :]:
-            if symp(u, v) != 0:
-                continue
-            span = set()
-            for a in range(d):
-                for b in range(d):
-                    span.add(tuple((a * u[k] + b * v[k]) % d for k in range(len(u))))
-            key = tuple(sorted(span))
-            planes.setdefault(key, (u, v))
-
-    family = StabilizerFamily(params)
-    for u, v in planes.values():
-        gu, gv = _vec_to_index(params, u), _vec_to_index(params, v)
-        for ja in range(d):
-            for jb in range(d):
-                family.members.append(
-                    StabilizerMember(rank=2, generators=((gu, omega**ja), (gv, omega**jb)))
-                )
-    for u in points:
-        gu = _vec_to_index(params, u)
-        for j in range(d):
-            family.members.append(StabilizerMember(rank=1, generators=((gu, omega**j),)))
-    family.members.append(StabilizerMember(rank=0, generators=()))
-
-    if cache_path is not None:
-        gens, chars, ranks = _family_to_arrays(params, family)
-        np.savez_compressed(cache_path, gens=gens, chars=chars, ranks=ranks)
-    return family
-
-
-def _family_to_arrays(params: QuditParams, family: StabilizerFamily):
-    n = params.n
-    count = len(family.members)
-    gens = np.zeros((count, n, 2 * n), dtype=np.int64)
-    chars = np.zeros((count, n), dtype=complex)
-    ranks = np.zeros(count, dtype=np.int64)
-    for i, member in enumerate(family.members):
-        ranks[i] = member.rank
-        for g, (label, char) in enumerate(member.generators):
-            gens[i, g, :n] = label.p
-            gens[i, g, n:] = label.q
-            chars[i, g] = char
-    return gens, chars, ranks
-
-
-def _family_from_arrays(params: QuditParams, gens, chars, ranks) -> StabilizerFamily:
-    n = params.n
-    family = StabilizerFamily(params)
-    for i in range(len(ranks)):
-        rank = int(ranks[i])
-        generators = tuple(
-            (_vec_to_index(params, [int(v) for v in gens[i, g]]), complex(chars[i, g]))
-            for g in range(rank)
-        )
-        family.members.append(StabilizerMember(rank=rank, generators=generators))
-    return family
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +294,18 @@ def mean_characteristic_table(table: CharacteristicTable) -> np.ndarray:
     return np.where(keep, table.values, 0.0)
 
 
-def mean_state(rho: DensityMatrix, verify_membership: bool = True) -> DensityMatrix:
+def mean_state(rho: DensityMatrix) -> DensityMatrix:
     """Stabilizer state keeping only the unit-modulus characteristic values.
 
     For n=1 the result is matched against the enumerated family (Frobenius
-    distance <= 1e-8) as a sanity check.
+    distance <= 1e-8) and a RuntimeError raised if it misses.
     """
     table = characteristic_function(rho)
     kept = mean_characteristic_table(table)
     out = inverse_weyl_transform(CharacteristicTable(rho.params, kept))
     out = (out + out.conj().T) / 2
     result = DensityMatrix(rho.params, out)
-    if verify_membership and rho.params.n == 1:
+    if rho.params.n == 1:
         _, dist = stabilizer_family(rho.params).nearest_member_distance(result)
         if dist > MEMBER_MATCH_TOL:
             raise RuntimeError(f"mean state landed {dist:.3e} away from the enumerated family")

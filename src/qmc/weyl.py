@@ -102,9 +102,6 @@ class WeylIndex:
     def zero(cls, params: QuditParams) -> "WeylIndex":
         return cls((0,) * params.n, (0,) * params.n)
 
-    def is_zero(self) -> bool:
-        return not any(self.p) and not any(self.q)
-
     def neg(self, d: int) -> "WeylIndex":
         return WeylIndex(tuple((-v) % d for v in self.p), tuple((-v) % d for v in self.q))
 

@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qmc.weyl import WeylIndex, weyl_action
+from qmc.states import StabilizerFamily, StabilizerMember, _materialize_member, preset_state
+from qmc.weyl import WeylIndex, _digit_table, weyl_action
 
 
 class Spectrum(NamedTuple):
@@ -351,6 +352,98 @@ def classify_weyl_image(conjugated: np.ndarray, weyl_ops: dict) -> tuple | None:
     if abs(abs(coeff) - 1.0) > 1e-9:
         return None
     return label, coeff
+
+
+# ---------------------------------------------------------------------------
+# Stabilizer enumeration: one loop per layout, lines spanned by hand
+# ---------------------------------------------------------------------------
+
+
+def _line_directions(params) -> list[WeylIndex]:
+    """One primitive representative per line through the phase-space origin (n=1)."""
+    d = params.d
+    dirs = [WeylIndex.make(params, 0, 1)]
+    dirs += [WeylIndex.make(params, 1, m) for m in range(d)]
+    return dirs
+
+
+def enumerate_single_reference(params) -> StabilizerFamily:
+    """n=1 family: d characters per line direction, the maximally mixed state
+    last, states materialized eagerly (the maximally mixed one as a preset)."""
+    d = params.d
+    omega = np.exp(2j * np.pi / d)
+    family = StabilizerFamily(params)
+    for direction in _line_directions(params):
+        for j in range(d):
+            member = StabilizerMember(rank=1, generators=((direction, omega**j),))
+            member.state = _materialize_member(params, member)
+            family.members.append(member)
+    family.members.append(
+        StabilizerMember(rank=0, generators=(), state=preset_state("maximally-mixed", params))
+    )
+    return family
+
+
+def _primitive_points(d: int, n: int) -> list[tuple[int, ...]]:
+    """One representative per line through the origin of Z_d^{2n}."""
+    digits = _digit_table(d, 2 * n)
+    reps = []
+    seen = set()
+    for row in digits[1:]:
+        vec = tuple(int(v) for v in row)
+        if vec in seen:
+            continue
+        # canonicalize: first nonzero component scaled to 1
+        lead = next(v for v in vec if v)
+        inv = pow(lead, -1, d)
+        canon = tuple((inv * v) % d for v in vec)
+        if canon not in seen:
+            reps.append(canon)
+        for k in range(1, d):
+            seen.add(tuple((k * v) % d for v in vec))
+    return reps
+
+
+def enumerate_two_reference(params) -> StabilizerFamily:
+    """n=2 family: every commuting pair of lines, its span keyed by the full
+    set of d^2 points so that each plane is kept once (first pair seen), then
+    the lines and the maximally mixed state; states left unmaterialized."""
+    d, n = params.d, params.n
+    points = _primitive_points(d, n)
+    omega = np.exp(2j * np.pi / d)
+
+    def symp(u, v):
+        return sum(u[i] * v[n + i] - v[i] * u[n + i] for i in range(n)) % d
+
+    def label(vec):
+        return WeylIndex.make(params, vec[:n], vec[n:])
+
+    planes = {}
+    for i, u in enumerate(points):
+        for v in points[i + 1 :]:
+            if symp(u, v) != 0:
+                continue
+            span = set()
+            for a in range(d):
+                for b in range(d):
+                    span.add(tuple((a * u[k] + b * v[k]) % d for k in range(len(u))))
+            key = tuple(sorted(span))
+            planes.setdefault(key, (u, v))
+
+    family = StabilizerFamily(params)
+    for u, v in planes.values():
+        gu, gv = label(u), label(v)
+        for ja in range(d):
+            for jb in range(d):
+                family.members.append(
+                    StabilizerMember(rank=2, generators=((gu, omega**ja), (gv, omega**jb)))
+                )
+    for u in points:
+        gu = label(u)
+        for j in range(d):
+            family.members.append(StabilizerMember(rank=1, generators=((gu, omega**j),)))
+    family.members.append(StabilizerMember(rank=0, generators=()))
+    return family
 
 
 # ---------------------------------------------------------------------------

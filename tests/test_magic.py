@@ -34,13 +34,20 @@ P7 = QuditParams(7)
 
 
 def assert_recomputed_certificates(rho, result, projectors):
-    """Residual spectrum and weight gap from the returned weights alone."""
+    """Both halves of the bracket from the returned weights and dual alone:
+    the upper from the residual spectrum, the lower from dual feasibility
+    (W~ >= 0 and Tr(P_i W~) <= 1 for every generator) and Tr(rho W~)."""
     weights = np.asarray(result.weights)
     resid = np.einsum("i,ijk->jk", weights, projectors) - rho.matrix
     assert weights.min() >= 0.0
     assert np.linalg.eigvalsh((resid + resid.conj().T) / 2)[0] >= -1e-8
     assert result.value_bits == pytest.approx(math.log2(weights.sum()), abs=1e-12)
     assert -1e-12 <= weights.sum() - result.lower_bound_weight <= 1e-9
+    dual = np.asarray(result.dual)
+    assert np.linalg.eigvalsh(dual)[0] >= -1e-12
+    assert np.real(np.einsum("ijk,kj->i", projectors, dual)).max() <= 1 + 1e-12
+    lower = float(np.real(np.trace(rho.matrix @ dual)))
+    assert abs(lower - result.lower_bound_weight) <= 1e-12 * result.lower_bound_weight
     assert result.certified
 
 

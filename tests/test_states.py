@@ -22,7 +22,13 @@ from qmc.states import (
 )
 from qmc.weyl import QuditParams, BSParams, WeylIndex, characteristic_function, weyl_operator, wigner_function
 
-from oracles import group_dephasing, is_phase_inversion_symmetric, purify
+from oracles import (
+    enumerate_single_reference,
+    enumerate_two_reference,
+    group_dephasing,
+    is_phase_inversion_symmetric,
+    purify,
+)
 
 P7 = QuditParams(7)
 P3 = QuditParams(3)
@@ -282,18 +288,60 @@ class TestStateFiles:
             state_from_payload({"d": 7, "form": "sparse"})
 
 
-@pytest.mark.heavy
-class TestHeavyEnumeration:
-    def test_two_qudit_counts_and_spot_checks(self, tmp_path):
+def member_keys(family):
+    return [(m.rank, tuple((g.p, g.q, char) for g, char in m.generators)) for m in family.members]
+
+
+class TestEnumerationParity:
+    @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+    def test_single_qudit_matches_reference(self, d):
+        params = QuditParams(d)
+        family, reference = enumerate_stabilizers(params), enumerate_single_reference(params)
+        assert member_keys(family) == member_keys(reference)
+        for i in range(len(reference)):
+            assert np.array_equal(family.state_at(i).matrix, reference.state_at(i).matrix)
+
+    def test_two_qudit_matches_reference(self):
         params = QuditParams(7, 2)
-        cache = tmp_path / "family.npz"
-        family = enumerate_stabilizers(params, heavy=True, cache_path=cache)
+        assert member_keys(enumerate_stabilizers(params)) == member_keys(enumerate_two_reference(params))
+
+    def test_two_qudit_planes_are_isotropic_and_distinct(self):
+        d = 7
+        family = enumerate_stabilizers(QuditParams(d, 2))
+        pairs = {}
+        for m in family.members:
+            if m.rank == 2:
+                (u, _), (v, _) = m.generators
+                u, v = (*u.p, *u.q), (*v.p, *v.q)
+                assert (u[0] * v[2] + u[1] * v[3] - u[2] * v[0] - u[3] * v[1]) % d == 0
+                pairs[u, v] = pairs.get((u, v), 0) + 1
+        assert len(pairs) == 19_600 // d**2 and set(pairs.values()) == {d**2}
+
+        def line(vec):
+            lead = next(x for x in vec if x)
+            return tuple(x * pow(lead, -1, d) % d for x in vec)
+
+        planes = {
+            frozenset(
+                line(tuple((a * x + b * y) % d for x, y in zip(u, v)))
+                for a in range(d)
+                for b in range(d)
+                if a or b
+            )
+            for u, v in pairs
+        }
+        assert len(planes) == len(pairs)
+        assert all(len(plane) == d + 1 for plane in planes)
+
+
+class TestHeavyEnumeration:
+    def test_two_qudit_counts_and_spot_checks(self):
+        params = QuditParams(7, 2)
+        family = enumerate_stabilizers(params)
         ranks = [m.rank for m in family.members]
         assert ranks.count(2) == 19_600
         assert ranks.count(1) == 2_800
         assert ranks.count(0) == 1
-        again = enumerate_stabilizers(params, heavy=True, cache_path=cache)
-        assert len(again) == len(family)
         rng = np.random.default_rng(5)
         for i in rng.integers(0, 19_600, size=3):
             state = family.state_at(int(i))
