@@ -410,6 +410,13 @@ class VerifyConfig:
     trials: int = 200
     logical_dim: int = 2
 
+    def __post_init__(self):
+        # a suite sized by a count below 1 would check nothing and still pass
+        for name in ("samples", "env_samples", "trials"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
     def params(self) -> QuditParams:
         return QuditParams(self.d, self.n)
 

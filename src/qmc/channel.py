@@ -65,6 +65,26 @@ def beam_splitter_permutation(bsparams: BSParams) -> np.ndarray:
     return (i * b.params.dim + j).reshape(-1)
 
 
+def purifiers(states: np.ndarray) -> np.ndarray:
+    """P[..., :, :] with sigma = P P^dag for one state or a stack of them:
+    columns sqrt(lambda_k) v_k for the eigenvalues above ``BRANCH_CUTOFF``
+    (ascending, so the last columns), after zero columns that pad every
+    state of a stack to the stack's largest rank.  Zero columns add nothing
+    to any Stinespring sum."""
+    vals, vecs = np.linalg.eigh(states)
+    keep = vals > BRANCH_CUTOFF
+    lo = vals.shape[-1] - int(keep.sum(axis=-1).max())
+    return vecs[..., lo:] * np.sqrt(np.where(keep[..., lo:], vals[..., lo:], 0.0))[..., None, :]
+
+
+def stinespring_gather(i: np.ndarray, j: np.ndarray, psi: np.ndarray, purifier: np.ndarray) -> np.ndarray:
+    """W[..., (r, a), (b, k)] = psi[..., r, I[a, b]] * P[..., J[a, b], k],
+    broadcast over the leading axes of psi (..., refs, dim) and the purifier
+    P (..., dim, rank); (I, J) are a channel's ``gather_indices``."""
+    w = psi[..., i, None] * purifier[..., None, j, :]  # [..., r, a, b, k]
+    return w.reshape(*w.shape[:-4], w.shape[-4] * w.shape[-3], -1)
+
+
 def check_side(dim: int, rank: int, intermediate: int) -> None:
     """Reject a dense side of dim * rank above ``MAX_SIDE`` before anything
     is allocated; ``intermediate`` counts the elements built on the way."""
@@ -101,11 +121,9 @@ class BeamSplitterChannel:
 
     def environment_purifier(self) -> np.ndarray:
         """P with sigma = P P^dag: columns sqrt(lambda_k) v_k, one per
-        environment eigenvalue above ``BRANCH_CUTOFF``.  Computed afresh;
-        ``purifier`` keeps it for the channel's lifetime."""
-        vals, vecs = np.linalg.eigh(self.environment.matrix)
-        keep = vals > BRANCH_CUTOFF
-        return vecs[:, keep] * np.sqrt(vals[keep])
+        environment eigenvalue above ``BRANCH_CUTOFF`` (``purifiers``).
+        Computed afresh; ``purifier`` keeps it for the channel's lifetime."""
+        return purifiers(self.environment.matrix)
 
     @cached_property
     def purifier(self) -> np.ndarray:
@@ -155,11 +173,10 @@ class BeamSplitterChannel:
         output and the environment purifier, as a (refs * dim, dim * rank)
         matrix.  Raises ValueError when refs * dim exceeds ``MAX_SIDE``.
         """
-        i, j = self.gather_indices(complement)
         purifier = self.purifier
         dim, refs = self.params.dim, psi.shape[0]
         check_side(dim, refs, refs * dim * dim * purifier.shape[1])
-        return (psi[:, i, None] * purifier[j]).reshape(refs * dim, -1)
+        return stinespring_gather(*self.gather_indices(complement), psi, purifier)
 
     def reference_output(self, psi: np.ndarray, complement: bool = False) -> np.ndarray:
         """(id x channel)(|psi><psi|) = W W^dag over (r, a), with W the

@@ -113,6 +113,13 @@ def _wrap(cfg: RunConfig, echo: dict, results: dict, started: float) -> dict:
     }
 
 
+def _require_at_least(low: int, **flags: int) -> None:
+    """Reject a count flag below ``low``, naming it as typed (``env_samples`` is ``--env-samples``)."""
+    for name, value in flags.items():
+        if value < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def cmd_params(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     pairs = valid_st_pairs(cfg.params())
@@ -228,6 +235,7 @@ def cmd_wigner(cfg: RunConfig, args) -> int:
 
 def cmd_fidelity(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
+    _require_at_least(0, trials=args.trials)  # 0: no search
     bs = cfg.bsparams()
     params = cfg.params()
     env = _load_state(args.env, params, bs)
@@ -258,6 +266,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     if args.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
+    _require_at_least(1, samples=args.samples, env_samples=args.env_samples, trials=args.trials)
     seed = cfg.require_seed()
     if args.suite in ("theorem-2", "theorem-3", "theorem-4", "theorem-5", "all", "coding"):
         bs = cfg.bsparams()  # validates (s, t) early

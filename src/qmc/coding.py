@@ -20,25 +20,57 @@ decoder Kraus operators flattened over (r, a),
 
     F = (1/K^2) sum_A sum_{b, k} |sum_{r, a} A[r, a] W[(r, a), (b, k)]|^2 = ||A W||_F^2 / K^2,
 
-so no Kraus operator is lifted to the K x K joint space.  Decoders are built
-and checked as stacks: one Gram for completeness, one stacked
-eigendecomposition for the pretty-good measurement.
+so no Kraus operator is lifted to the K x K joint space.
+
+Every kernel here works on a stack of T codes: isometries from one stacked
+QR, amplitudes from one stacked gather, the pretty-good measurement from
+stacked eigendecompositions (its Kraus operators padded with zeros to a fixed
+slot layout, with a mask of the kept ones), the relabel decoder from one
+scatter, the ``CodeSpec`` checks and the fidelity ``||A W||^2 / K^2`` as
+batched products.  The single-code entry points (``pgm_decoder``,
+``random_relabel_decoder``, ``entanglement_fidelity``, ``CodeSpec``) are the
+T = 1 case; the two searches run their trials as blocks of at most
+``BLOCK_ELEMENTS`` complex elements per stacked array, so their memory does
+not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BeamSplitterChannel
+from .channel import BeamSplitterChannel, purifiers, stinespring_gather
 from .magic import mrm_inf
 from .states import DensityMatrix, StabilizerFamily, preset_state, stabilizer_family
 from .weyl import BSParams, QuditParams, scale_indices
 
 ISOMETRY_TOL = 1e-10
 KRAUS_TOL = 1e-10
+# complex elements one trial block of a search may hold per stacked array
+# (the decoder stack, the amplitudes, the decoded products): 19 trials a
+# block at dim 13, K 2 and a pure environment
+BLOCK_ELEMENTS = 1 << 15
+DECODERS = ("pgm", "random-relabel")  # the two codes of a search trial, in scan order
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _check_codes(enc: np.ndarray, *kraus_stacks: np.ndarray) -> None:
+    """``CodeSpec``'s checks on a stack of encodings enc (T, dim, K) and
+    decoders (T, m, K, dim) that share them: orthonormal columns, and
+    sum_A A^dag A = rows^dag rows = 1 over every Kraus row."""
+    t, dim, k = enc.shape
+    if float(np.max(np.abs(_dagger(enc) @ enc - np.eye(k)))) > ISOMETRY_TOL:
+        raise ValueError("encoding columns are not orthonormal")
+    for kraus in kraus_stacks:
+        rows = kraus.reshape(t, -1, dim)
+        if float(np.max(np.abs(_dagger(rows) @ rows - np.eye(dim)))) > KRAUS_TOL:
+            raise ValueError("decoding Kraus operators do not sum to the identity")
 
 
 @dataclass(frozen=True)
@@ -63,12 +95,7 @@ class CodeSpec:
         object.__setattr__(self, "encoding", enc)
         object.__setattr__(self, "kraus_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
-        gram = enc.conj().T @ enc
-        if float(np.max(np.abs(gram - np.eye(k)))) > ISOMETRY_TOL:
-            raise ValueError("encoding columns are not orthonormal")
-        rows = stack.reshape(-1, dim)  # every Kraus row: sum_A A^dag A = rows^dag rows
-        if float(np.max(np.abs(rows.conj().T @ rows - np.eye(dim)))) > KRAUS_TOL:
-            raise ValueError("decoding Kraus operators do not sum to the identity")
+        _check_codes(enc[None], stack[None])
 
 
 def entanglement_fidelity(code: CodeSpec, chan: BeamSplitterChannel) -> float:
@@ -86,20 +113,39 @@ def entanglement_fidelity(code: CodeSpec, chan: BeamSplitterChannel) -> float:
     dim = chan.params.dim
     if k > dim:
         raise ValueError(f"logical dimension {k} exceeds physical dimension {dim}")
-    decoded = code.kraus_stack.reshape(-1, k * dim) @ chan.stinespring_amplitudes(code.encoding.T)
-    return float(np.vdot(decoded, decoded).real) / (k * k)
+    w = chan.stinespring_amplitudes(code.encoding.T)
+    return float(_fidelities(code.kraus_stack[None], w[None], k)[0])
+
+
+def _fidelities(kraus: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """||A W||_F^2 / K^2 for each code of a stack: Kraus operators
+    (T, m, K, dim) and amplitudes (T, K * dim, X)."""
+    decoded = kraus.reshape(len(kraus), -1, w.shape[-2]) @ w
+    return np.square(decoded.view(float)).sum(axis=(1, 2)) / (k * k)
+
+
+def _scaled_rows(vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Rows sqrt(lambda_c) v_c^dag of an eigendecomposition, stacked over the
+    leading axes, zero where ``keep`` is false."""
+    return np.sqrt(np.where(keep, vals, 0.0))[..., None] * _dagger(vecs)
+
+
+def _dump_rows(gram: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray]:
+    """The logical-0 rows of the Kraus operators that send the subspace a
+    partial decoder leaves unaddressed (eigenvalues of 1 - sum A^dag A =
+    1 - ``gram`` above ``cut``) to logical 0, stacked, with their kept mask."""
+    vals, vecs = np.linalg.eigh(np.eye(gram.shape[-1]) - gram)
+    keep = vals > cut
+    return _scaled_rows(vals, vecs, keep), keep
 
 
 def _dump_kraus(used: np.ndarray, cut: float = 1e-12) -> tuple[np.ndarray, ...]:
-    """Complete a partial decoder, stacked (m, K, dim): append Kraus operators
-    that send the subspace it leaves unaddressed (eigenvalues of
-    1 - sum A^dag A above ``cut``) to logical 0."""
+    """Complete a partial decoder (m, K, dim) with ``_dump_rows``."""
     _, k, dim = used.shape
     rows = used.reshape(-1, dim)
-    vals, vecs = np.linalg.eigh(np.eye(dim) - rows.conj().T @ rows)
-    keep = vals > cut
+    dump_rows, keep = _dump_rows(rows.conj().T @ rows, cut)
     dump = np.zeros((int(keep.sum()), k, dim), dtype=complex)
-    dump[:, 0] = (vecs[:, keep] * np.sqrt(vals[keep])).T.conj()
+    dump[:, 0] = dump_rows[keep]
     return tuple(np.concatenate([used, dump]))
 
 
@@ -159,10 +205,48 @@ def magic_code_construction(bsparams: BSParams) -> tuple[DensityMatrix, CodeSpec
     return env, CodeSpec(2, enc, _dump_kraus(np.stack([coherent, fold_t, fold_s])))
 
 
-def random_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+def _complex_normal(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussians from real draws x (..., 2 * size): real parts first."""
+    half = x.shape[-1] // 2
+    return (x[..., :half] + 1j * x[..., half:]).reshape(shape)
+
+
+def _isometries(g: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of each matrix of a stack: the Q of its QR with the
+    signs of R's diagonal moved into it, so that the draw fixes the result."""
     q, r = np.linalg.qr(g)
-    return q[:, :cols] * np.sign(np.diagonal(r)[None, :cols].real + 1e-300)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real + 1e-300)[..., None, :]
+
+
+def random_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    return _isometries(_complex_normal(rng.normal(size=2 * dim * cols), (dim, cols)))
+
+
+def _pgm_stack(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pretty-good-measurement decoders of a stack of codes from their
+    amplitudes w (T, K * dim, X): Kraus slots (T, (K + 1) * dim, K, dim),
+    the measurement operator of logical l and eigenvector c in slot
+    l * dim + c and dump c in slot K * dim + c, and the mask of kept slots.
+    The other slots are zero; a kept operator never is."""
+    t, dim = len(w), w.shape[-2] // k
+    w = w.reshape(t, k, dim, -1)
+    outputs = w @ _dagger(w)
+    vals, vecs = np.linalg.eigh(outputs.sum(axis=1))
+    supported = np.where(vals > 1e-12 * vals[:, -1:], vals, np.inf)
+    inv_sqrt = (vecs * supported[:, None, :] ** -0.5) @ _dagger(vecs)
+    m = inv_sqrt[:, None] @ outputs @ inv_sqrt[:, None]
+    mvals, mvecs = np.linalg.eigh((m + _dagger(m)) / 2)
+    cut = 1e-14 * vals[:, -1] / supported.min(axis=1)
+    measure = mvals > cut[:, None, None]
+    rows = _scaled_rows(mvals, mvecs, measure)  # [t, l, c, :]: the one nonzero row of slot (l, c)
+    flat = rows.reshape(t, -1, dim)
+    dump, dumped = _dump_rows(_dagger(flat) @ flat, cut[:, None])
+    kraus = np.zeros((t, k + 1, dim, k, dim), dtype=complex)
+    logical = np.arange(k)
+    kraus[:, logical, :, logical] = rows.swapaxes(0, 1)
+    kraus[:, k, :, 0] = dump
+    kept = np.concatenate([measure.reshape(t, -1), dumped], axis=1)
+    return kraus.reshape(t, -1, k, dim), kept
 
 
 def pgm_decoder(encoding: np.ndarray, chan: BeamSplitterChannel) -> tuple[np.ndarray, ...]:
@@ -176,33 +260,81 @@ def pgm_decoder(encoding: np.ndarray, chan: BeamSplitterChannel) -> tuple[np.nda
     amplifies round-off by the sum's condition number c (largest over least
     kept eigenvalue), the measurement operators and the dump keep
     eigenvalues above 1e-14 c, far above that round-off, so that the Kraus
-    count does not depend on it.
+    count does not depend on it.  The kept operators of the one-code
+    ``_pgm_stack``, logical-major with eigenvalues ascending, then the dump.
     """
-    k = encoding.shape[1]
-    dim = chan.params.dim
-    w = chan.stinespring_amplitudes(encoding.T).reshape(k, dim, -1)
-    outputs = w @ w.conj().transpose(0, 2, 1)
-    vals, vecs = np.linalg.eigh(outputs.sum(axis=0))
-    support = vals > 1e-12 * vals[-1]
-    inv_sqrt = (vecs * np.where(support, vals, np.inf) ** -0.5) @ vecs.conj().T
-    m = inv_sqrt @ outputs @ inv_sqrt
-    mvals, mvecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
-    cut = 1e-14 * vals[-1] / vals[support][0]
-    logical, col = np.nonzero(mvals > cut)  # logical-major, eigenvalues ascending
-    kraus = np.zeros((logical.size, k, dim), dtype=complex)
-    weights = np.sqrt(mvals[logical, col])[:, None]
-    kraus[np.arange(logical.size), logical] = weights * mvecs[logical, :, col].conj()
-    return _dump_kraus(kraus, cut)
+    kraus, kept = _pgm_stack(chan.stinespring_amplitudes(encoding.T)[None], encoding.shape[1])
+    return tuple(kraus[0][kept[0]])
+
+
+def _relabel_stack(u: np.ndarray, k: int) -> np.ndarray:
+    """Kraus operators (T, dim, K, dim) measuring in the columns of each
+    unitary u and folding outcome c onto logical c mod K."""
+    t, dim, _ = u.shape
+    kraus = np.zeros((t, dim, k, dim), dtype=complex)
+    kraus[:, np.arange(dim), np.arange(dim) % k] = _dagger(u)
+    return kraus
 
 
 def random_relabel_decoder(
     logical_dim: int, dim: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, ...]:
     """Measure in a random unitary basis and fold outcomes onto logical kets."""
-    u = random_isometry(dim, dim, rng)
-    kraus = np.zeros((dim, logical_dim, dim), dtype=complex)
-    kraus[np.arange(dim), np.arange(dim) % logical_dim] = u.T.conj()
-    return tuple(kraus)
+    return tuple(_relabel_stack(random_isometry(dim, dim, rng)[None], logical_dim)[0])
+
+
+def _block_trials(dim: int, k: int, rank: int) -> int:
+    """Trials per block: the padded decoder stack takes K (K + 1) dim^2
+    elements a trial, the amplitudes and the decoded products (K + 2) dim^2
+    per environment rank."""
+    return max(1, BLOCK_ELEMENTS // (dim * dim * (k * (k + 1) + (k + 2) * rank)))
+
+
+def _trial_block(x: np.ndarray, k: int, gather: tuple[np.ndarray, np.ndarray], purifier: np.ndarray) -> np.ndarray:
+    """Fidelities (T, 2) of the PGM and random-relabel codes of T trials from
+    their draws x (T, 2 dim (K + dim)) and environment purifiers (T, dim, R)."""
+    t, dim = len(x), purifier.shape[-2]
+    split = 2 * dim * k
+    enc = _isometries(_complex_normal(x[:, :split], (t, dim, k)))
+    relabel = _relabel_stack(_isometries(_complex_normal(x[:, split:], (t, dim, dim))), k)
+    w = stinespring_gather(*gather, enc.swapaxes(1, 2), purifier)
+    pgm, _ = _pgm_stack(w, k)
+    _check_codes(enc, pgm, relabel)
+    return np.stack([_fidelities(pgm, w, k), _fidelities(relabel, w, k)], axis=1)
+
+
+def _search_trials(
+    rng: np.random.Generator,
+    trials: int,
+    k: int,
+    gather: tuple[np.ndarray, np.ndarray],
+    purifiers_of: Callable[[int, int], np.ndarray],
+    best: float,
+) -> tuple[float, tuple[int, str] | None]:
+    """The best fidelity of ``trials`` random codes if one beats ``best``,
+    with its (trial, decoder); the first maximum in (trial, decoder) order,
+    as a strict ``>`` scan finds it.
+
+    Each trial draws its encoding (real, then imaginary parts) and then its
+    relabel unitary, so a seed gives the same codes at any block size.
+    Blocks are sized for a rank-one environment; ``purifiers_of(lo, t)``
+    gives the (t, dim, R) purifiers of trials lo..lo + t - 1, and a block
+    whose R is larger is decoded in smaller slices of its draws.
+    """
+    dim = gather[0].shape[0]
+    size = _block_trials(dim, k, 1)
+    found = None
+    for lo in range(0, trials, size):
+        t = min(size, trials - lo)
+        x = rng.normal(size=(t, 2 * dim * (k + dim)))
+        purifier = purifiers_of(lo, t)
+        step = _block_trials(dim, k, purifier.shape[-1])
+        for sub in range(0, t, step):
+            values = _trial_block(x[sub : sub + step], k, gather, purifier[sub : sub + step])
+            i = int(np.argmax(values))
+            if values.flat[i] > best:
+                best, found = float(values.flat[i]), (lo + sub + i // 2, DECODERS[i % 2])
+    return best, found
 
 
 @dataclass
@@ -232,6 +364,17 @@ class SearchReport:
         }
 
 
+def _cycled_purifiers(family: StabilizerFamily) -> Callable[[int, int], np.ndarray]:
+    """``purifiers_of`` for trials cycled over the family: trial i runs on
+    member i mod len(family), the block's members purified as one stack."""
+
+    def purifiers_of(lo: int, t: int) -> np.ndarray:
+        members = np.arange(lo, lo + t) % len(family)
+        return purifiers(np.stack([family.state_at(int(e)).matrix for e in members]))
+
+    return purifiers_of
+
+
 def stabilizer_ceiling_search(
     params: QuditParams,
     bsparams: BSParams,
@@ -245,28 +388,26 @@ def stabilizer_ceiling_search(
     Random encodings paired with pretty-good-measurement and random-relabel
     decoders, cycled over every enumerated environment; the deterministic
     1/K construction is always included so the search also certifies the
-    ceiling is reachable.  Exhausting the budget without a violation is the
-    expected outcome, not an error.
+    ceiling is reachable.  The trials run in stacked blocks
+    (``_search_trials``), each block's environments purified by one stacked
+    eigendecomposition and padded to the block's largest rank.  Exhausting
+    the budget without a violation is the expected outcome, not an error;
+    a negative ``trials`` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     family = family if family is not None else stabilizer_family(params)
     rng = np.random.default_rng(seed)
     baseline_code = stabilizer_code_construction(params, bsparams, logical_dim)
-    baseline_env = preset_state("ket-zero", params)
-    baseline = entanglement_fidelity(baseline_code, BeamSplitterChannel(bsparams, baseline_env))
-    best, best_desc = baseline, "computational-ket construction on the all-zeros environment"
-    for trial in range(trials):
-        env = family.state_at(trial % len(family))
-        chan = BeamSplitterChannel(bsparams, env)
-        enc = random_isometry(params.dim, logical_dim, rng)
-        decoders = {
-            "pgm": pgm_decoder(enc, chan),
-            "random-relabel": random_relabel_decoder(logical_dim, params.dim, rng),
-        }
-        for name, kraus in decoders.items():
-            value = entanglement_fidelity(CodeSpec(logical_dim, enc, kraus), chan)
-            if value > best:
-                best = value
-                best_desc = f"trial {trial} ({name} decoder, environment {trial % len(family)})"
+    baseline_chan = BeamSplitterChannel(bsparams, preset_state("ket-zero", params))
+    baseline = entanglement_fidelity(baseline_code, baseline_chan)
+    gather = baseline_chan.gather_indices()
+    best, found = _search_trials(rng, trials, logical_dim, gather, _cycled_purifiers(family), baseline)
+    if found is None:
+        best_desc = "computational-ket construction on the all-zeros environment"
+    else:
+        trial, name = found
+        best_desc = f"trial {trial} ({name} decoder, environment {trial % len(family)})"
     return SearchReport(
         best_value=best,
         best_descriptor=best_desc,
@@ -287,9 +428,12 @@ def fidelity_ratio_bound_check(
     """Best-found fidelity against 2^{magic} times the stabilizer ceiling 1/K.
 
     The proven 1/K ceiling supplies the denominator; the numerator is probed
-    with the same search decoders plus, when applicable, the explicit K=2
-    magic code.
+    with the same stacked search trials as ``stabilizer_ceiling_search``
+    (every trial on sigma, purified once) plus, when applicable, the
+    explicit K=2 magic code.  A negative ``trials`` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     params = sigma.params
     chan = BeamSplitterChannel(bsparams, sigma)
     magic_bits = mrm_inf(sigma)
@@ -305,16 +449,13 @@ def fidelity_ratio_bound_check(
         value = entanglement_fidelity(code, chan)
         if value > best:
             best, best_desc = value, name
-    for trial in range(trials):
-        enc = random_isometry(params.dim, logical_dim, rng)
-        decoders = {
-            "pgm": pgm_decoder(enc, chan),
-            "random-relabel": random_relabel_decoder(logical_dim, params.dim, rng),
-        }
-        for name, kraus in decoders.items():
-            value = entanglement_fidelity(CodeSpec(logical_dim, enc, kraus), chan)
-            if value > best:
-                best, best_desc = value, f"trial {trial} ({name} decoder)"
+
+    def purifiers_of(lo: int, t: int) -> np.ndarray:
+        return np.broadcast_to(chan.purifier, (t, *chan.purifier.shape))
+
+    best, found = _search_trials(rng, trials, logical_dim, chan.gather_indices(), purifiers_of, best)
+    if found is not None:
+        best_desc = f"trial {found[0]} ({found[1]} decoder)"
     return SearchReport(
         best_value=best,
         best_descriptor=best_desc,

@@ -291,6 +291,85 @@ def pgm_decoder_loop(encoding: np.ndarray, sigma: np.ndarray, unitary: np.ndarra
     return kraus + dump_kraus_loop(k, dim, kraus, cut)
 
 
+def random_isometry_loop(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal columns from one complex Gaussian draw (real parts, then
+    imaginary parts), by QR with the signs of R's diagonal moved into Q."""
+    g = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+    q, r = np.linalg.qr(g)
+    return q[:, :cols] * np.sign(np.diagonal(r)[None, :cols].real + 1e-300)
+
+
+def _trial_codes_loop(rng, dim: int, k: int, sigma: np.ndarray, unitary: np.ndarray):
+    """One search trial's (decoder name, encoding, Kraus list) pairs: a random
+    encoding with its PGM decoder, then a random-relabel decoder measuring in
+    the columns of a random unitary, outcome c folded onto logical c mod K."""
+    enc = random_isometry_loop(dim, k, rng)
+    pgm = pgm_decoder_loop(enc, sigma, unitary)
+    u = random_isometry_loop(dim, dim, rng)
+    relabel = []
+    for c in range(dim):
+        kr = np.zeros((k, dim), dtype=complex)
+        kr[c % k] = u[:, c].conj()
+        relabel.append(kr)
+    return [("pgm", enc, pgm), ("random-relabel", enc, relabel)]
+
+
+def ceiling_search_loop(
+    family, bsparams, logical_dim: int, trials: int, seed: int, unitary: np.ndarray, baseline: bool = True
+):
+    """``stabilizer_ceiling_search`` one trial and one code at a time, through
+    ``pgm_decoder_loop`` and ``entanglement_fidelity_loop`` on the dense
+    beam-splitter ``unitary``; the best code is the first strict improvement.
+    With ``baseline`` false the 1/K construction is left out, so the best
+    is the best trial."""
+    from qmc.coding import SearchReport, stabilizer_code_construction
+
+    params = family.params
+    rng = np.random.default_rng(seed)
+    best, best_desc, first = -math.inf, "none", -math.inf
+    if baseline:
+        code = stabilizer_code_construction(params, bsparams, logical_dim)
+        zero = preset_state("ket-zero", params).matrix
+        best = first = entanglement_fidelity_loop(code.encoding, code.kraus, zero, unitary)
+        best_desc = "computational-ket construction on the all-zeros environment"
+    for trial in range(trials):
+        env = trial % len(family)
+        sigma = family.state_at(env).matrix
+        for name, enc, kraus in _trial_codes_loop(rng, params.dim, logical_dim, sigma, unitary):
+            value = entanglement_fidelity_loop(enc, kraus, sigma, unitary)
+            if value > best:
+                best, best_desc = value, f"trial {trial} ({name} decoder, environment {env})"
+    return SearchReport(best, best_desc, first, 1.0 / logical_dim, 1e-6, trials)
+
+
+def ratio_search_loop(sigma, bsparams, logical_dim: int, trials: int, seed: int, unitary: np.ndarray):
+    """``fidelity_ratio_bound_check`` one trial and one code at a time: the
+    constructions as probes, then the trials of ``ceiling_search_loop`` all
+    on the one environment sigma."""
+    from qmc.coding import SearchReport, magic_code_construction, stabilizer_code_construction
+    from qmc.magic import mrm_inf
+
+    params, matrix = sigma.params, sigma.matrix
+    magic_bits = mrm_inf(sigma)
+    probes = [("computational-ket construction", stabilizer_code_construction(params, bsparams, logical_dim))]
+    if logical_dim == 2 and bsparams.nontrivial and (bsparams.s**2 - bsparams.t**2) % params.d != 0:
+        probes.append(("magic two-ket construction", magic_code_construction(bsparams)[1]))
+    best, best_desc = -math.inf, "none"
+    for name, code in probes:
+        value = entanglement_fidelity_loop(code.encoding, code.kraus, matrix, unitary)
+        if value > best:
+            best, best_desc = value, name
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        for name, enc, kraus in _trial_codes_loop(rng, params.dim, logical_dim, matrix, unitary):
+            value = entanglement_fidelity_loop(enc, kraus, matrix, unitary)
+            if value > best:
+                best, best_desc = value, f"trial {trial} ({name} decoder)"
+    return SearchReport(
+        best, best_desc, 1.0 / logical_dim, 2.0**magic_bits / logical_dim, 1e-6, trials, {"magic_bits": magic_bits}
+    )
+
+
 def code_to_payload(code) -> dict:
     """A CodeSpec as nested [re, im] lists: encoding by column, decoding by Kraus row."""
     return {

@@ -2,9 +2,11 @@
 
 ``perfbench/run.py`` must end its standard output with one strict JSON
 result line that carries every end-to-end metric ``BENCHMARK.json`` names,
-each finite.  A traced run must also report every ``magic.*`` per-layer
-metric, which needs every wrapped library name to exist: ``perfbench/layers.py``
-leaves the metrics of a missing name out of the report instead of failing.
+each finite.  A traced run must also report every ``magic.*`` and
+``coding.*`` per-layer metric, which needs every wrapped library name to
+exist: ``perfbench/layers.py`` leaves the metrics of a missing name out of the
+report instead of failing, so a renamed search, decoder or fidelity function
+would otherwise drop its metrics silently.
 """
 
 import json
@@ -39,7 +41,7 @@ def test_result_line_is_strict_json_with_finite_metrics(trace):
     assert result["correct"] is True
     metrics = result["metrics"]
     names = [m["name"] for m in BENCHMARK["end_to_end"]] if trace == 0 else [
-        m["name"] for m in BENCHMARK["per_layer"] if m["name"].startswith("magic.")
+        m["name"] for m in BENCHMARK["per_layer"] if m["name"].startswith(("magic.", "coding."))
     ]
     for name in names:
         assert name in metrics, f"{name} missing from the result line"

@@ -162,7 +162,38 @@ class TestFidelityCommand:
         assert results["computational_code_fidelity"] <= 0.5 + 1e-9
 
 
+    def test_negative_trials_exit_2_naming_the_flag(self, capsys):
+        code = main(["fidelity", "--d", "7", "--s", "2", "--t", "2", "--env", "preset:ket-zero",
+                     "--trials", "-3", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--trials must be at least 0, got -3" in captured.err
+        assert captured.out == ""
+
+    def test_zero_trials_means_no_search(self, capsys):
+        code, out = run(["fidelity", "--d", "7", "--s", "2", "--t", "2", "--env", "preset:ket-zero",
+                         "--trials", "0"], capsys)
+        assert code == 0
+        assert "search" not in json.loads(out)["results"]
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("flag", ["--trials", "--samples", "--env-samples"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_vacuous_counts_exit_2_naming_the_flag(self, flag, value, capsys):
+        code = main(["verify", "--suite", "coding", "--d", "7", "--s", "2", "--t", "2", flag, value, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{flag} must be at least 1, got {value}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field", ["trials", "samples", "env_samples"])
+    def test_verify_config_rejects_counts_below_one(self, field):
+        from qmc.capacity import VerifyConfig
+
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+            VerifyConfig(**{field: 0})
+
     def test_theorem3_suite(self, capsys):
         code, out = run(["verify", "--suite", "theorem-3", "--d", "13", "--s", "2", "--t", "6",
                          "--seed", "7", "--restarts", "1", "--iterations", "40"], capsys)
