@@ -13,7 +13,6 @@ from .weyl import (
     WeylIndex,
     characteristic_function,
     inverse_weyl_transform,
-    random_clifford,
     valid_st_pairs,
     weyl_operator,
     wigner_function,

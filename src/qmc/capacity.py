@@ -634,8 +634,7 @@ def _suite_magic_bound(cfg: VerifyConfig) -> SuiteReport:
     report.checks.append(
         CheckLine("coherent information doubles on product environments", worst_add, 1e-8)
     )
-    if cfg.bsparams().nontrivial:
-        report.checks.extend(_k_copy_checks(cfg))
+    report.checks.extend(_k_copy_checks(cfg))
     return report
 
 

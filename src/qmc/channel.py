@@ -13,12 +13,18 @@ the dim^4 joint state.  Choi matrices and other reference/output states use
 the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k] of the environment
 purified as sigma = P P^dag (``stinespring_amplitudes``), where
 |I[a, b], J[a, b]> is the preimage of |a, b>.
+
+The symmetry identities (``complement_identity_check``,
+``degradation_witness``) post-process Choi matrices by the parity and by
+displacements.  Both are monomial unitaries, applied in their (rows, phases)
+form through ``monomial_conjugate``: a relabel and a phase per entry, no
+dense product.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,9 +39,8 @@ from .weyl import (
     WeylMultiplier,
     characteristic_function,
     monomial_conjugate,
-    parity_operator,
+    scale_indices,
     weyl_action,
-    weyl_operator,
     _digit_table,
     _powers,
 )
@@ -196,14 +201,20 @@ class BeamSplitterChannel:
         if rho.params != self.params:
             raise ValueError(f"input layout {rho.params} does not match channel {self.params}")
 
-    def choi(self, complement: bool = False, post_unitary: np.ndarray | None = None) -> "ChoiMatrix":
-        """Choi matrix of the channel (optionally with a unitary applied after):
-        the reference/output state of the maximally entangled input."""
+    def choi(
+        self, complement: bool = False, post_unitary: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> "ChoiMatrix":
+        """Choi matrix of the channel: the reference/output state of the
+        maximally entangled input, indexed [(r, a), (r', a')].  A monomial
+        post-unitary U|a> = phases[a] |rows[a]>, given as (rows, phases),
+        is applied after the channel as 1 x U, with its rows lifted over the
+        reference."""
         dim = self.params.dim
         out = self.reference_output(np.eye(dim, dtype=complex) / np.sqrt(dim), complement)
         if post_unitary is not None:
-            lifted = np.kron(np.eye(dim), post_unitary)
-            out = lifted @ out @ lifted.conj().T
+            rows, phases = post_unitary
+            lifted = (np.arange(dim)[:, None] * dim + rows).reshape(-1)
+            out = monomial_conjugate(out, lifted, np.tile(phases, dim))
         return ChoiMatrix(dim, dim, out)
 
 
@@ -261,9 +272,9 @@ def iterate_convolution(bsparams: BSParams, rho: DensityMatrix, steps: int) -> l
 
 
 def phase_inversion(rho: DensityMatrix) -> DensityMatrix:
-    """Conjugation by the parity operator (|k> -> |-k>)."""
-    a0 = parity_operator(rho.params)
-    return rho.conjugated(a0)
+    """Conjugation by the parity |k> -> |-k>: a relabel of rows and columns."""
+    neg = scale_indices(rho.params.d, rho.params.n, -1)
+    return DensityMatrix(rho.params, rho.matrix[np.ix_(neg, neg)])
 
 
 def displace(rho: DensityMatrix, x: WeylIndex) -> DensityMatrix:
@@ -281,14 +292,6 @@ class ChannelIdentityReport:
     def passed(self) -> bool:
         return self.frobenius_distance <= self.tolerance
 
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "frobenius_distance": self.frobenius_distance,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
 
 def complement_identity_check(bsparams: BSParams, sigma: DensityMatrix) -> ChannelIdentityReport:
     """Certify that the complement equals parity-conjugation after the
@@ -296,11 +299,11 @@ def complement_identity_check(bsparams: BSParams, sigma: DensityMatrix) -> Chann
 
     Both sides are compared as Choi matrices in Frobenius norm.
     """
+    p = bsparams.params
     left = BeamSplitterChannel(bsparams, sigma).choi(complement=True)
-    swapped = BSParams(bsparams.params, bsparams.t, bsparams.s)
-    right = BeamSplitterChannel(swapped, phase_inversion(sigma)).choi(
-        post_unitary=parity_operator(bsparams.params)
-    )
+    swapped = BSParams(p, bsparams.t, bsparams.s)
+    parity = (scale_indices(p.d, p.n, -1), np.ones(p.dim))
+    right = BeamSplitterChannel(swapped, phase_inversion(sigma)).choi(post_unitary=parity)
     dist = frobenius_distance(left.matrix, right.matrix)
     return ChannelIdentityReport(
         description="complement vs parity-conjugated swapped-weight channel",
@@ -309,32 +312,9 @@ def complement_identity_check(bsparams: BSParams, sigma: DensityMatrix) -> Chann
     )
 
 
-@dataclass(frozen=True)
-class DegradationReport:
-    frobenius_distance: float
-    tolerance: float
-    degradable: bool
-    anti_degradable: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return self.frobenius_distance <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "frobenius_distance": self.frobenius_distance,
-            "tolerance": self.tolerance,
-            "degradable": self.degradable,
-            "anti_degradable": self.anti_degradable,
-            "pass": self.passed,
-            "notes": list(self.notes),
-        }
-
-
 def degradation_witness(
     bsparams: BSParams, sigma: DensityMatrix, displacement: WeylIndex | None = None
-) -> DegradationReport:
+) -> ChannelIdentityReport:
     """Constructive degradation certificate for balanced weights.
 
     Preconditions (each failure raises with the failing check named): the
@@ -358,21 +338,14 @@ def degradation_witness(
             "precondition failed: displaced-back environment is not parity symmetric "
             f"(defect {sym_defect:.3e})"
         )
-    left = BeamSplitterChannel(bsparams, sigma).choi(complement=True)
-    shift = a.scale(-2 * bsparams.s, d)
-    shift_op = weyl_operator(p, shift)
-    post = parity_operator(p) @ shift_op
-    right = BeamSplitterChannel(bsparams, sigma).choi(post_unitary=post)
-    dist = frobenius_distance(left.matrix, right.matrix)
-    passed = dist <= CHANNEL_EQ_TOL
-    return DegradationReport(
-        frobenius_distance=dist,
+    chan = BeamSplitterChannel(bsparams, sigma)
+    left = chan.choi(complement=True)
+    rows, phases = weyl_action(p, a.scale(-2 * bsparams.s, d))
+    neg = scale_indices(d, p.n, -1)
+    right = chan.choi(post_unitary=(neg[rows], phases))  # parity after the displacement
+    return ChannelIdentityReport(
+        description="complement vs parity after a displacement of the channel",
+        frobenius_distance=frobenius_distance(left.matrix, right.matrix),
         tolerance=CHANNEL_EQ_TOL,
-        degradable=passed,
-        anti_degradable=passed,
-        notes=(
-            "degrading map is unitary (parity after a displacement), so degradable and "
-            "anti-degradable hold simultaneously",
-        ),
     )
 

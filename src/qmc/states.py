@@ -24,8 +24,6 @@ from .weyl import (
     WeylIndex,
     characteristic_function,
     inverse_weyl_transform,
-    clifford_from_word,
-    random_clifford,
     _digit_table,
     _powers,
     _weyl_monomials,
@@ -87,9 +85,6 @@ class DensityMatrix:
             raise ValueError("tensor factors must share the local dimension")
         params = QuditParams(self.params.d, self.params.n + other.params.n)
         return DensityMatrix(params, np.kron(self.matrix, other.matrix))
-
-    def conjugated(self, unitary: np.ndarray) -> "DensityMatrix":
-        return DensityMatrix(self.params, unitary @ self.matrix @ unitary.conj().T)
 
     def entropy(self) -> float:
         return von_neumann_entropy(self.matrix)
@@ -329,31 +324,6 @@ def random_density_matrix(
     g = rng.normal(size=(params.dim, rank)) + 1j * rng.normal(size=(params.dim, rank))
     m = g @ g.conj().T
     return DensityMatrix(params, m / np.trace(m).real)
-
-
-def clifford_dressed_environment(
-    params: QuditParams,
-    magic: DensityMatrix,
-    copies: int,
-    seed=None,
-    word: Sequence[str] | None = None,
-) -> DensityMatrix:
-    """k copies of a single-qudit state padded with |0>, optionally Clifford-rotated."""
-    if magic.params.n != 1 or magic.params.d != params.d:
-        raise ValueError("the repeated factor must be a single qudit of matching dimension")
-    if not 1 <= copies <= params.n:
-        raise ValueError(f"copies={copies} must lie in 1..{params.n}")
-    state = magic
-    for _ in range(copies - 1):
-        state = state.tensor(magic)
-    pad = preset_state("ket-zero", QuditParams(params.d, 1))
-    for _ in range(params.n - copies):
-        state = state.tensor(pad)
-    if word is not None:
-        return state.conjugated(clifford_from_word(params, word))
-    if seed is not None:
-        return state.conjugated(random_clifford(params, seed))
-    return state
 
 
 # ---------------------------------------------------------------------------

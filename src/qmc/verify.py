@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .capacity import CheckLine, SuiteReport, VerifyConfig, verify_theorem
-from .channel import BeamSplitterChannel, convolve, iterate_convolution
+from .channel import BeamSplitterChannel, beam_splitter_permutation, convolve, iterate_convolution
 from .coding import (
     entanglement_fidelity,
     fidelity_ratio_bound_check,
@@ -26,7 +26,40 @@ from .states import (
     random_pure_state,
     stabilizer_family,
 )
-from .weyl import characteristic_function, wigner_function
+from .weyl import BSParams, QuditParams, characteristic_function, wigner_function, _digit_table, _weyl_exponents
+
+
+def covariance_mismatches(bsparams: BSParams, label_map: tuple[tuple[int, int], tuple[int, int]]) -> int:
+    """Count the (label pair, column) entries where U (w(a) x w(b)) U^dag and
+    w(a') x w(b') differ, over all d^4 single-qudit label pairs (a, b).
+
+    U is the beam splitter of ``bsparams`` (n = 1) and (a', b') = M (a, b)
+    for the 2 x 2 integer ``label_map`` M, applied to both label components;
+    the beam splitter's covariance is M = ((s, t), (-t, s)).  Both sides are
+    monomial, so they are compared exactly: column by column, the row each
+    one maps to and its phase exponent mod d.  U (w(a) x w(b)) U^dag sends
+    |U(k, l)> to w^{e_a(k) + e_b(l)} |U(r_a(k), r_b(l))>, for w(a)|k> =
+    w^{e_a(k)} |r_a(k)>.  One label a at a time, vectorized over b and the
+    column, so memory stays at d^4 entries.
+    """
+    d = bsparams.params.d
+    single = BSParams(QuditParams(d), bsparams.s, bsparams.t)
+    perm = beam_splitter_permutation(single)
+    labels = _digit_table(d, 2)  # label p * d + q holds (p, q)
+    rows, expo = _weyl_exponents(single.params, labels[:, :1], labels[:, 1:])  # [label, ket]
+    (m00, m01), (m10, m11) = label_map
+    k, l = np.divmod(np.arange(d * d), d)  # column |k, l> before U
+    c1, c2 = np.divmod(perm, d)  # the same column after U
+    count = 0
+    for a in range(d * d):
+        a2 = ((m00 * labels[a] + m01 * labels) % d) @ (d, 1)  # [b]
+        b2 = ((m10 * labels[a] + m11 * labels) % d) @ (d, 1)
+        lhs_rows = perm[rows[a, k] * d + rows[:, l]]  # [b, column]
+        rhs_rows = rows[a2][:, c1] * d + rows[b2][:, c2]
+        lhs_expo = expo[a, k] + expo[:, l]
+        rhs_expo = expo[a2][:, c1] + expo[b2][:, c2]
+        count += int(np.count_nonzero((lhs_rows != rhs_rows) | ((lhs_expo - rhs_expo) % d != 0)))
+    return count
 
 
 def lemma_suite(cfg: VerifyConfig) -> SuiteReport:
@@ -34,7 +67,6 @@ def lemma_suite(cfg: VerifyConfig) -> SuiteReport:
     central-limit contraction, and Wigner nonnegativity of stabilizer states."""
     params = cfg.params()
     bs = cfg.bsparams()
-    d = cfg.d
     rng = np.random.default_rng(cfg.seed)
     report = SuiteReport(suite="lemmas", config=cfg.to_dict(), samples=cfg.samples)
 
@@ -54,26 +86,10 @@ def lemma_suite(cfg: VerifyConfig) -> SuiteReport:
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report.checks.append(CheckLine("convolution-multiplication duality", worst, 1e-10))
 
-    # covariance of the two-register unitary on Weyl labels, exhaustive
-    from .weyl import QuditParams, WeylIndex, weyl_operator
-    from .channel import beam_splitter_permutation
-
-    single = QuditParams(d, 1)
-    perm = beam_splitter_permutation(type(bs)(single, bs.s, bs.t))
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    ops = {}
-    for p in range(d):
-        for q in range(d):
-            ops[(p, q)] = weyl_operator(single, WeylIndex.make(single, p, q))
-    worst = 0.0
-    for (pa, qa), wa in ops.items():
-        for (pb, qb), wb in ops.items():
-            lhs = np.kron(wa, wb)[np.ix_(inv, inv)]
-            wa2 = ops[((bs.s * pa + bs.t * pb) % d, (bs.s * qa + bs.t * qb) % d)]
-            wb2 = ops[((-bs.t * pa + bs.s * pb) % d, (-bs.t * qa + bs.s * qb) % d)]
-            worst = max(worst, float(np.max(np.abs(lhs - np.kron(wa2, wb2)))))
-    report.checks.append(CheckLine("beam-splitter covariance on all label pairs", worst, 1e-12))
+    # covariance of the two-register unitary on Weyl labels, exhaustive and
+    # exact: the number of differing monomial entries
+    mismatches = covariance_mismatches(bs, ((bs.s, bs.t), (-bs.t, bs.s)))
+    report.checks.append(CheckLine("beam-splitter covariance on all label pairs", float(mismatches), 1e-12))
 
     # convolution keeps the enumerated family closed
     family = stabilizer_family(params)
@@ -138,7 +154,7 @@ def coding_suite(cfg: VerifyConfig) -> SuiteReport:
         CheckLine("computational-ket codes reach exactly 1/K", worst, 1e-12)
     )
 
-    if bs.nontrivial and (bs.s**2 - bs.t**2) % cfg.d != 0:
+    if (bs.s**2 - bs.t**2) % cfg.d != 0:
         env, code = magic_code_construction(bs)
         value = entanglement_fidelity(code, BeamSplitterChannel(bs, env))
         report.checks.append(
@@ -174,12 +190,20 @@ def coding_suite(cfg: VerifyConfig) -> SuiteReport:
 
 SUITE_NAMES = ("all", "theorem-2", "theorem-3", "theorem-4", "theorem-5", "lemmas", "coding")
 # suites built on the n=1 stabilizer family, the single-qudit witness
-# constructions or single-qudit preset environments
+# constructions or single-qudit preset environments.  Their claims are
+# stated for nontrivial weights: with s or t = 0 mod d the channel only
+# relabels its input or replaces it by the environment.
 SINGLE_QUDIT_SUITES = ("all", "theorem-2", "theorem-3", "theorem-4", "lemmas", "coding")
 
 
 def check_suite_n(name: str, cfg: VerifyConfig) -> None:
-    """Raise ValueError, naming the suite, when it cannot run at ``cfg.n``."""
+    """Raise ValueError, naming the suite, when it cannot run at ``cfg.n`` or
+    when its claims need nontrivial weights and ``cfg`` has trivial ones."""
+    if name in SINGLE_QUDIT_SUITES and not cfg.bsparams().nontrivial:
+        raise ValueError(
+            f"suite {name!r} checks claims that need nontrivial weights (s^2 and t^2 not 0 or 1 "
+            f"mod d), got (s, t) = ({cfg.s}, {cfg.t}) at d={cfg.d}"
+        )
     if cfg.n == 1:
         return
     if name in SINGLE_QUDIT_SUITES:

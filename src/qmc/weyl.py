@@ -1,8 +1,7 @@
 """Discrete phase space for prime-dimensional qudits.
 
-Weyl (generalized Pauli) operators, characteristic functions, phase-space
-point operators, discrete Wigner functions, beam-splitter parameter
-enumeration, and word-based Clifford sampling.
+Weyl (generalized Pauli) operators, characteristic functions, discrete
+Wigner functions and beam-splitter parameter enumeration.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -24,6 +23,11 @@ DFT and gathers the diagonals back into a matrix; the Wigner table is the
 symplectic Fourier transform of Xi, two more DFT products.
 
 ``WeylMultiplier`` puts a product Xi_in(a x) Xi_E(b x) between the halves.
+
+Weyl operators, the parity |k> -> |-k> and their products are monomial: a
+row permutation with one phase per column.  The library applies them in
+that ``(rows, phases)`` form (``weyl_action``, ``monomial_conjugate``);
+``weyl_operator`` materializes one for callers that want the matrix.
 """
 
 from __future__ import annotations
@@ -146,16 +150,22 @@ def flat_index(params: QuditParams, x: WeylIndex) -> tuple[int, int]:
     return encode_digits(params, x.p), encode_digits(params, x.q)
 
 
-def _weyl_monomials(params: QuditParams, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial forms of a stack of Weyl operators w(p[g], q[g]), with p and q
-    of shape (count, n): w|k> = phases[g, k] |rows[g, k]>."""
+def _weyl_exponents(params: QuditParams, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer monomial forms of a stack of Weyl operators w(p[g], q[g]), with
+    p and q of shape (count, n): w|k> = w^{expo[g, k]} |rows[g, k]>, with the
+    exponents reduced mod d."""
     params.require_odd()
     d, n = params.d, params.n
     shifted = _digit_table(d, n) + q[:, None, :]  # w(p, q)|k> lands on |k + q>
     # exponent of w per basis ket: sum_i p_i (k_i + q_i) - h p_i q_i (mod d)
     expo = (shifted * p[:, None, :]).sum(-1) - params.half * (p * q).sum(-1)[:, None]
-    omega = np.exp(2j * np.pi / d)
-    return (shifted % d) @ _powers(d, n), omega ** (expo % d)
+    return (shifted % d) @ _powers(d, n), expo % d
+
+
+def _weyl_monomials(params: QuditParams, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_weyl_exponents`` with the phases evaluated: w|k> = phases[g, k] |rows[g, k]>."""
+    rows, expo = _weyl_exponents(params, p, q)
+    return rows, np.exp(2j * np.pi / params.d) ** expo
 
 
 def weyl_action(params: QuditParams, x: WeylIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -330,21 +340,11 @@ class WeylMultiplier:
         return _from_shifted_diagonals(p, idft @ table)
 
 
-def parity_operator(params: QuditParams) -> np.ndarray:
-    """The zero-point phase-space operator: the permutation |k> -> |-k>."""
-    params.require_odd()
-    dim = params.dim
-    neg = scale_indices(params.d, params.n, params.d - 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[neg, np.arange(dim)] = 1.0
-    return out
-
-
 def wigner_function(rho) -> np.ndarray:
     """Raw discrete Wigner table W(x) = Tr[rho A(x)]; sums to d^n.
 
     A(x) = w(x) A(0) w(x)^dag are the phase-point operators, with A(0) the
-    ``parity_operator``.
+    parity |k> -> |-k>.
 
     Computed as the symplectic Fourier transform of the characteristic
     table, W(u) = (1/d^n) sum_v w^{-[u, v]} Xi(v).  Divide by d^n for the
@@ -394,96 +394,3 @@ def valid_st_pairs(params: QuditParams) -> list[BSParams]:
             if (s * s + t * t) % d == 1:
                 out.append(BSParams(params, s, t))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Word-based Clifford sampling
-# ---------------------------------------------------------------------------
-
-
-def fourier_matrix(d: int) -> np.ndarray:
-    """F[k, j] = w^{-kj}/sqrt(d); satisfies F Z F^dag = X exactly."""
-    omega = np.exp(2j * np.pi / d)
-    k = np.arange(d)
-    return omega ** (-np.outer(k, k) % d) / np.sqrt(d)
-
-
-def quadratic_phase_matrix(d: int) -> np.ndarray:
-    """diag(w^{h k^2}) with h = (d+1)/2; maps X to w(1,1) under conjugation."""
-    omega = np.exp(2j * np.pi / d)
-    h = (d + 1) // 2
-    k = np.arange(d)
-    return np.diag(omega ** ((h * k * k) % d))
-
-
-def _embed(params: QuditParams, local: np.ndarray, wire: int) -> np.ndarray:
-    mats = [np.eye(params.d, dtype=complex)] * params.n
-    mats[wire] = local
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def _cx_matrix(params: QuditParams, control: int, target: int) -> np.ndarray:
-    d, n = params.d, params.n
-    dim = params.dim
-    digits = _digit_table(d, n)
-    out = np.zeros((dim, dim), dtype=complex)
-    powers = _powers(d, n)
-    shifted = digits.copy()
-    shifted[:, target] = (shifted[:, target] + shifted[:, control]) % d
-    rows = shifted @ powers
-    out[rows, np.arange(dim)] = 1.0
-    return out
-
-
-def clifford_generators(params: QuditParams) -> dict[str, np.ndarray]:
-    """Named generating set: Fourier, quadratic phase, shift/clock displacements, CX."""
-    params.require_odd()
-    d = params.d
-    gens: dict[str, np.ndarray] = {}
-    f = fourier_matrix(d)
-    p = quadratic_phase_matrix(d)
-    x = weyl_operator(QuditParams(d, 1), WeylIndex((0,), (1,)))
-    z = weyl_operator(QuditParams(d, 1), WeylIndex((1,), (0,)))
-    if params.n == 1:
-        gens.update(F=f, P=p, X=x, Z=z)
-        return gens
-    for wire in range(params.n):
-        gens[f"F{wire}"] = _embed(params, f, wire)
-        gens[f"P{wire}"] = _embed(params, p, wire)
-        gens[f"X{wire}"] = _embed(params, x, wire)
-        gens[f"Z{wire}"] = _embed(params, z, wire)
-    for c in range(params.n):
-        for t in range(params.n):
-            if c != t:
-                gens[f"CX{c}{t}"] = _cx_matrix(params, c, t)
-    return gens
-
-
-def clifford_from_word(params: QuditParams, word: Sequence[str]) -> np.ndarray:
-    """Multiply out a word over the generator alphabet; empty word gives identity."""
-    gens = clifford_generators(params)
-    out = np.eye(params.dim, dtype=complex)
-    for token in word:
-        if token not in gens:
-            raise ValueError(f"unknown generator {token!r}; choose from {sorted(gens)}")
-        out = gens[token] @ out
-    return out
-
-
-def random_clifford(params: QuditParams, seed, length: int = 24) -> np.ndarray:
-    """Unitary from a random generator word of the given length (>= 20).
-
-    Sampling is word-based, not uniform over the Clifford group; callers only
-    rely on the conjugation action (Weyl -> phase times Weyl).
-    """
-    if params.n > 2:
-        raise ValueError("Clifford sampling supports n in {1, 2}")
-    if length < 20:
-        raise ValueError("word length below 20 gives poor mixing; use >= 20")
-    rng = np.random.default_rng(seed)
-    names = sorted(clifford_generators(params))
-    word = [names[i] for i in rng.integers(0, len(names), size=length)]
-    return clifford_from_word(params, word)

@@ -8,12 +8,12 @@ the library code paths it checks.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from qmc.states import StabilizerFamily, StabilizerMember, _materialize_member, preset_state
-from qmc.weyl import WeylIndex, _digit_table, weyl_action
+from qmc.states import DensityMatrix, StabilizerFamily, StabilizerMember, _materialize_member, preset_state
+from qmc.weyl import QuditParams, WeylIndex, _digit_table, weyl_action
 
 
 class Spectrum(NamedTuple):
@@ -587,12 +587,19 @@ def wigner_function_loop(params, m: np.ndarray) -> np.ndarray:
     return values
 
 
+def parity_operator(params) -> np.ndarray:
+    """The zero-point phase-space operator: the permutation |k> -> |-k>."""
+    dim = params.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    out[_negation(params), np.arange(dim)] = 1.0
+    return out
+
+
 def phase_point_operator(params, x) -> np.ndarray:
     """A(x) = w(x) A(0) w(x)^dag, with A(0) the parity |k> -> |-k>, as dense products."""
     dim = params.dim
     cols = np.arange(dim)
-    a0 = np.zeros((dim, dim), dtype=complex)
-    a0[_negation(params), cols] = 1.0
+    a0 = parity_operator(params)
     rows, phases = weyl_action(params, x)
     w = np.zeros((dim, dim), dtype=complex)
     w[rows, cols] = phases
@@ -650,6 +657,179 @@ def symplectic_ft_wigner(rho: np.ndarray, d: int, n: int, char_fn) -> np.ndarray
             table[pe, qe] = acc / dim
     assert np.max(np.abs(table.imag)) < 1e-9
     return table.real
+
+
+# ---------------------------------------------------------------------------
+# Dense operators: Weyl matrices from their definition, the covariance and
+# Choi identities as dense kron products, and word-based Clifford sampling
+# ---------------------------------------------------------------------------
+
+
+def shift_matrix(d: int) -> np.ndarray:
+    """X |k> = |k + 1 mod d>."""
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+def clock_matrix(d: int) -> np.ndarray:
+    """Z |k> = w^k |k>."""
+    return np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+
+
+def weyl_dense(params, x) -> np.ndarray:
+    """w(p, q) = w^{-h p q} Z^p X^q per qudit, kron over the qudits (most
+    significant first), multiplied out as dense matrices."""
+    d = params.d
+    omega, h = np.exp(2j * np.pi / d), (d + 1) // 2
+    out = np.eye(1, dtype=complex)
+    for p, q in zip(x.p, x.q):
+        local = np.linalg.matrix_power(clock_matrix(d), p) @ np.linalg.matrix_power(shift_matrix(d), q)
+        out = np.kron(out, omega ** ((-h * p * q) % d) * local)
+    return out
+
+
+def covariance_mismatch_loop(d: int, s: int, t: int, label_map) -> int:
+    """Dense reference for the lemma suite's covariance count: the number of
+    (label pair, column) entries where U kron(w(a), w(b)) U^dag and
+    kron(w(a'), w(b')) differ by more than 1e-9, over all d^4 single-qudit
+    label pairs, with (a', b') = label_map (a, b) and U the dense beam
+    splitter of weights (s, t)."""
+    params = QuditParams(d)
+    side = d * d
+    inv = np.argmax(np.abs(beam_splitter_unitary(d, 1, s, t)), axis=1)  # U[x, inv[x]] = 1
+    gather = (inv[:, None] * side + inv[None, :]).reshape(-1)  # (U M U^dag)[x, y] = M[inv x, inv y]
+    ops = {(p, q): weyl_dense(params, WeylIndex((p,), (q,))) for p in range(d) for q in range(d)}
+    (m00, m01), (m10, m11) = label_map
+    count = 0
+    for (pa, qa), wa in ops.items():
+        for (pb, qb), wb in ops.items():
+            lhs = np.kron(wa, wb).take(gather)
+            wa2 = ops[((m00 * pa + m01 * pb) % d, (m00 * qa + m01 * qb) % d)]
+            wb2 = ops[((m10 * pa + m11 * pb) % d, (m10 * qa + m11 * qb) % d)]
+            differs = np.abs(lhs - np.kron(wa2, wb2).reshape(-1)) > 1e-9
+            count += int(np.count_nonzero(differs.reshape(side, side).any(axis=0)))
+    return count
+
+
+def choi_dense(sigma: np.ndarray, unitary: np.ndarray, complement: bool = False, post_unitary=None) -> np.ndarray:
+    """Choi matrix [(r, o), (r', o')] of rho -> Tr_2[U (rho x sigma) U^dag]
+    (the complement traces out the first register instead), from the dense
+    unitary; a dense post-unitary V then conjugates it by kron(1, V)."""
+    dim = sigma.shape[0]
+    if complement:
+        swap = np.eye(dim * dim).reshape(dim, dim, dim, dim).transpose(1, 0, 2, 3).reshape(dim * dim, -1)
+        unitary = swap @ unitary
+    out = reference_output_dense(np.eye(dim) / math.sqrt(dim), sigma, unitary)
+    if post_unitary is not None:
+        lifted = np.kron(np.eye(dim), post_unitary)
+        out = lifted @ out @ lifted.conj().T
+    return out
+
+
+def fourier_matrix(d: int) -> np.ndarray:
+    """F[k, j] = w^{-kj}/sqrt(d); satisfies F Z F^dag = X exactly."""
+    omega = np.exp(2j * np.pi / d)
+    k = np.arange(d)
+    return omega ** (-np.outer(k, k) % d) / np.sqrt(d)
+
+
+def quadratic_phase_matrix(d: int) -> np.ndarray:
+    """diag(w^{h k^2}) with h = (d+1)/2; maps X to w(1,1) under conjugation."""
+    omega = np.exp(2j * np.pi / d)
+    h = (d + 1) // 2
+    k = np.arange(d)
+    return np.diag(omega ** ((h * k * k) % d))
+
+
+def _embed(params, local: np.ndarray, wire: int) -> np.ndarray:
+    mats = [np.eye(params.d, dtype=complex)] * params.n
+    mats[wire] = local
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def _cx_matrix(params, control: int, target: int) -> np.ndarray:
+    shifted = _digit_rows(params).copy()
+    shifted[:, target] = (shifted[:, target] + shifted[:, control]) % params.d
+    rows = np.ravel_multi_index(tuple(shifted.T), (params.d,) * params.n)
+    out = np.zeros((params.dim, params.dim), dtype=complex)
+    out[rows, np.arange(params.dim)] = 1.0
+    return out
+
+
+def clifford_generators(params) -> dict[str, np.ndarray]:
+    """Named generating set: Fourier, quadratic phase, shift/clock displacements, CX."""
+    params.require_odd()
+    d = params.d
+    f, p = fourier_matrix(d), quadratic_phase_matrix(d)
+    x, z = shift_matrix(d), clock_matrix(d)
+    if params.n == 1:
+        return dict(F=f, P=p, X=x, Z=z)
+    gens: dict[str, np.ndarray] = {}
+    for wire in range(params.n):
+        gens[f"F{wire}"] = _embed(params, f, wire)
+        gens[f"P{wire}"] = _embed(params, p, wire)
+        gens[f"X{wire}"] = _embed(params, x, wire)
+        gens[f"Z{wire}"] = _embed(params, z, wire)
+    for c in range(params.n):
+        for t in range(params.n):
+            if c != t:
+                gens[f"CX{c}{t}"] = _cx_matrix(params, c, t)
+    return gens
+
+
+def clifford_from_word(params, word: Sequence[str]) -> np.ndarray:
+    """Multiply out a word over the generator alphabet; empty word gives identity."""
+    gens = clifford_generators(params)
+    out = np.eye(params.dim, dtype=complex)
+    for token in word:
+        if token not in gens:
+            raise ValueError(f"unknown generator {token!r}; choose from {sorted(gens)}")
+        out = gens[token] @ out
+    return out
+
+
+def random_clifford(params, seed, length: int = 24) -> np.ndarray:
+    """Unitary from a random generator word of the given length (>= 20).
+
+    Sampling is word-based, not uniform over the Clifford group; callers only
+    rely on the conjugation action (Weyl -> phase times Weyl).
+    """
+    if params.n > 2:
+        raise ValueError("Clifford sampling supports n in {1, 2}")
+    if length < 20:
+        raise ValueError("word length below 20 gives poor mixing; use >= 20")
+    rng = np.random.default_rng(seed)
+    names = sorted(clifford_generators(params))
+    word = [names[i] for i in rng.integers(0, len(names), size=length)]
+    return clifford_from_word(params, word)
+
+
+def conjugated(rho: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
+    """U rho U^dag by dense products."""
+    return DensityMatrix(rho.params, unitary @ rho.matrix @ unitary.conj().T)
+
+
+def clifford_dressed_environment(
+    params, magic: DensityMatrix, copies: int, seed=None, word: Sequence[str] | None = None
+) -> DensityMatrix:
+    """k copies of a single-qudit state padded with |0>, optionally Clifford-rotated."""
+    if magic.params.n != 1 or magic.params.d != params.d:
+        raise ValueError("the repeated factor must be a single qudit of matching dimension")
+    if not 1 <= copies <= params.n:
+        raise ValueError(f"copies={copies} must lie in 1..{params.n}")
+    state = magic
+    for _ in range(copies - 1):
+        state = state.tensor(magic)
+    pad = preset_state("ket-zero", QuditParams(params.d, 1))
+    for _ in range(params.n - copies):
+        state = state.tensor(pad)
+    if word is not None:
+        return conjugated(state, clifford_from_word(params, word))
+    if seed is not None:
+        return conjugated(state, random_clifford(params, seed))
+    return state
 
 
 # ---------------------------------------------------------------------------

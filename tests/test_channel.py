@@ -31,27 +31,40 @@ from qmc.weyl import (
     QuditParams,
     WeylIndex,
     characteristic_function,
-    random_clifford,
+    scale_indices,
     valid_st_pairs,
+    weyl_action,
     weyl_operator,
     wigner_function,
 )
+from qmc.verify import covariance_mismatches
 
 from oracles import (
     beam_splitter_unitary,
     channel_oracle,
+    choi_dense,
     choi_from_kraus,
+    conjugated,
+    covariance_mismatch_loop,
     gather_sum,
     gather_sum_adjoint,
+    parity_operator,
     purified_gather_sum,
     purified_gather_sum_adjoint,
+    random_clifford,
     stinespring_isometry,
+    weyl_dense,
 )
 
 P7 = QuditParams(7)
 BS72 = BSParams(P7, 2, 2)
 P13 = QuditParams(13)
 BS13 = BSParams(P13, 2, 6)
+
+
+def valid_pairs(*layouts):
+    """(d, n, s, t) for every valid weight pair of each (d, n) layout."""
+    return [(d, n, b.s, b.t) for d, n in layouts for b in valid_st_pairs(QuditParams(d, n))]
 
 
 def two_ket_mixture(params, kets):
@@ -88,6 +101,23 @@ class TestUnitary:
             wa2 = weyl_operator(P7, WeylIndex.make(P7, 2 * pa + 2 * pb, 2 * qa + 2 * qb))
             wb2 = weyl_operator(P7, WeylIndex.make(P7, -2 * pa + 2 * pb, -2 * qa + 2 * qb))
             assert np.max(np.abs(lhs - np.kron(wa2, wb2))) <= 1e-12
+
+
+class TestCovarianceCount:
+    """The lemma suite's exact covariance count against the dense kron loop."""
+
+    @pytest.mark.parametrize("d, n, s, t", valid_pairs((5, 1), (7, 1), (11, 1)))
+    def test_matches_kron_oracle(self, d, n, s, t):
+        covariance = ((s, t), (-t, s))
+        count = covariance_mismatches(BSParams(QuditParams(d), s, t), covariance)
+        assert count == covariance_mismatch_loop(d, s, t, covariance) == 0
+
+    @pytest.mark.parametrize("d, n, s, t", [case for case in valid_pairs((5, 1), (7, 1)) if case[3]])
+    def test_mutated_label_map_is_counted(self, d, n, s, t):
+        mutated = ((s, t), (t, s))  # b' = t a + s b; the same map as the true one when t = 0
+        count = covariance_mismatches(BSParams(QuditParams(d), s, t), mutated)
+        assert count > 0
+        assert count == covariance_mismatch_loop(d, s, t, mutated)
 
 
 class TestApply:
@@ -266,7 +296,7 @@ class TestConvolution:
         sig = random_density_matrix(P7, rng)
         plain = np.linalg.eigvalsh(convolve(BS72, rho, sig).matrix)
         rotated = np.linalg.eigvalsh(
-            convolve(BS72, rho.conjugated(u), sig.conjugated(u)).matrix
+            convolve(BS72, conjugated(rho, u), conjugated(sig, u)).matrix
         )
         assert np.max(np.abs(plain - rotated)) <= 1e-9
 
@@ -353,11 +383,25 @@ class TestComplementIdentity:
         rep = complement_identity_check(BS72, preset_state("maximally-mixed", P7))
         assert rep.passed
 
+    @pytest.mark.parametrize("d, n, s, t", valid_pairs((7, 1), (5, 2)))
+    def test_matches_dense_choi_oracle(self, d, n, s, t, rng):
+        params = QuditParams(d, n)
+        sigma = random_density_matrix(params, rng)
+        parity = parity_operator(params)
+        left = choi_dense(sigma.matrix, beam_splitter_unitary(d, n, s, t), complement=True)
+        right = choi_dense(parity @ sigma.matrix @ parity.T, beam_splitter_unitary(d, n, t, s), post_unitary=parity)
+        swapped = BeamSplitterChannel(BSParams(params, t, s), phase_inversion(sigma))
+        monomial = swapped.choi(post_unitary=(scale_indices(d, n, -1), np.ones(params.dim)))
+        assert np.max(np.abs(monomial.matrix - right)) <= 1e-12
+        rep = complement_identity_check(BSParams(params, s, t), sigma)
+        assert rep.passed
+        assert abs(rep.frobenius_distance - frobenius_distance(left, right)) <= 1e-12
+
 
 class TestDegradationWitness:
     def test_symmetric_two_ket(self):
         rep = degradation_witness(BS72, preset_state("symmetric-pm1", P7))
-        assert rep.passed and rep.degradable and rep.anti_degradable
+        assert rep.passed
 
     def test_zero_mean_stabilizer(self):
         rep = degradation_witness(BS72, preset_state("ket-zero", P7))
@@ -368,6 +412,32 @@ class TestDegradationWitness:
         env = displace(preset_state("symmetric-pm1", P7), shift)
         rep = degradation_witness(BS72, env, displacement=shift)
         assert rep.passed
+
+    @pytest.mark.parametrize("s", [2, 5])
+    @pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (3, 5)])
+    @pytest.mark.parametrize("base", ["symmetric-pm1", "random"])
+    def test_matches_dense_choi_oracle(self, s, p, q, base, rng):
+        parity = parity_operator(P7)
+        if base == "random":
+            raw = random_density_matrix(P7, rng).matrix
+            sigma0 = (raw + parity @ raw @ parity.T) / 2
+        else:
+            sigma0 = preset_state(base, P7).matrix
+        shift = WeylIndex.make(P7, p, q)
+        w = weyl_dense(P7, shift)
+        sigma = DensityMatrix(P7, w @ sigma0 @ w.conj().T)
+        u = beam_splitter_unitary(7, 1, s, s)
+        back = shift.scale(-2 * s, 7)
+        left = choi_dense(sigma.matrix, u, complement=True)
+        right = choi_dense(sigma.matrix, u, post_unitary=parity @ weyl_dense(P7, back))
+        rows, phases = weyl_action(P7, back)
+        monomial = BeamSplitterChannel(BSParams(P7, s, s), sigma).choi(
+            post_unitary=(scale_indices(7, 1, -1)[rows], phases)
+        )
+        assert np.max(np.abs(monomial.matrix - right)) <= 1e-12
+        rep = degradation_witness(BSParams(P7, s, s), sigma, displacement=shift)
+        assert rep.passed
+        assert abs(rep.frobenius_distance - frobenius_distance(left, right)) <= 1e-12
 
     def test_unbalanced_weights_rejected(self):
         with pytest.raises(ValueError, match="differ mod"):

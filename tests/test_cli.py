@@ -7,7 +7,10 @@ import pytest
 
 from qmc.cli import main
 from qmc.states import preset_state, random_density_matrix, write_state
-from qmc.weyl import QuditParams
+from qmc.weyl import QuditParams, valid_st_pairs
+
+# every valid weight pair at d = 3 and d = 5 is trivial; at d = 7 two of them
+TRIVIAL_WEIGHTS = [(d, b.s, b.t) for d in (3, 5) for b in valid_st_pairs(QuditParams(d))] + [(7, 1, 0), (7, 0, 1)]
 
 
 def run(args, capsys):
@@ -235,6 +238,29 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert f"suite {suite!r}" in err and "n=1 only, got n=2" in err
+
+    @pytest.mark.parametrize("suite", ["theorem-2", "theorem-3", "theorem-4", "lemmas", "coding", "all"])
+    @pytest.mark.parametrize("d, s, t", TRIVIAL_WEIGHTS)
+    def test_trivial_weights_rejected_by_name_before_work(self, suite, d, s, t, capsys, monkeypatch):
+        import qmc.verify as verify_mod
+
+        def started(*args):
+            raise AssertionError("the suite started before its weights were checked")
+
+        for name in ("lemma_suite", "coding_suite", "verify_theorem"):
+            monkeypatch.setattr(verify_mod, name, started)
+        code = main(["verify", "--suite", suite, "--d", str(d), "--s", str(s), "--t", str(t), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"suite {suite!r}" in captured.err and "nontrivial weights" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("d, s, t", TRIVIAL_WEIGHTS)
+    def test_theorem5_runs_and_passes_on_trivial_weights(self, d, s, t, capsys):
+        code, out = run(["verify", "--suite", "theorem-5", "--d", str(d), "--s", str(s), "--t", str(t),
+                         "--seed", "1", "--env-samples", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["pass"] is True
 
     def test_theorem5_runs_at_n2_with_unequal_weights(self):
         from qmc.capacity import VerifyConfig

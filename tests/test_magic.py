@@ -18,7 +18,6 @@ from qmc.magic import (
 )
 from qmc.states import (
     DensityMatrix,
-    clifford_dressed_environment,
     mean_state,
     preset_state,
     pure_stabilizer_projectors,
@@ -28,7 +27,7 @@ from qmc.states import (
 )
 from qmc.weyl import QuditParams, WeylIndex
 
-from oracles import max_relative_entropy, stabilizer_weight_bracket
+from oracles import clifford_dressed_environment, max_relative_entropy, stabilizer_weight_bracket
 
 P7 = QuditParams(7)
 

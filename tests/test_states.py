@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qmc.linalg import frobenius_distance, von_neumann_entropy
 from qmc.states import (
     DensityMatrix,
-    clifford_dressed_environment,
     enumerate_stabilizers,
     mean_state,
     preset_state,
@@ -23,6 +22,7 @@ from qmc.states import (
 from qmc.weyl import QuditParams, BSParams, WeylIndex, characteristic_function, weyl_operator, wigner_function
 
 from oracles import (
+    clifford_dressed_environment,
     enumerate_single_reference,
     enumerate_two_reference,
     group_dephasing,

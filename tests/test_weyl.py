@@ -13,12 +13,7 @@ from qmc.weyl import (
     QuditParams,
     WeylIndex,
     characteristic_function,
-    clifford_from_word,
-    clifford_generators,
-    fourier_matrix,
     inverse_weyl_transform,
-    parity_operator,
-    random_clifford,
     valid_st_pairs,
     weyl_operator,
     wigner_function,
@@ -28,8 +23,13 @@ from oracles import (
     characteristic_function_loop,
     characteristic_value,
     classify_weyl_image,
+    clifford_from_word,
+    clifford_generators,
+    fourier_matrix,
     inverse_weyl_transform_loop,
+    parity_operator,
     phase_point_operator,
+    random_clifford,
     symplectic_ft_wigner,
     wigner_function_loop,
 )
