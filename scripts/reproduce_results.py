@@ -12,8 +12,7 @@ import pathlib
 import sys
 import time
 
-from qmc.capacity import VerifyConfig
-from qmc.verify import run_suite
+from qmc.verify import VerifyConfig, run_suite
 
 CANONICAL = [
     ("theorem-2", dict(d=7, s=2, t=2, samples=100, env_samples=5, restarts=32, iterations=2000)),

@@ -39,12 +39,10 @@ from .magic import mrm, mrm_enumerated, mrm_inf, wigner_negativity
 from .capacity import (
     CapacityReport,
     OptimizerBudget,
-    VerifyConfig,
     capacity_witness_construction,
     coherent_information,
     coherent_information_purification,
     qcap_one_shot,
-    verify_theorem,
 )
 from .coding import (
     CodeSpec,
@@ -54,5 +52,6 @@ from .coding import (
     stabilizer_ceiling_search,
     stabilizer_code_construction,
 )
+from .verify import VerifyConfig, run_suite
 
 __version__ = "0.1.0"

@@ -1,33 +1,25 @@
-"""Coherent information, the one-shot capacity optimizer, and claim suites.
+"""Coherent information, the one-shot capacity optimizer, and the witness.
 
 Coherent information and its exact gradient run on the channel's Weyl
 multipliers and their adjoints (``_ic_matrix_fn``).  The optimizer reports
 certified lower bounds only: the value returned is the best coherent
 information actually evaluated, never an optimality claim.  Upper bounds come
-from the proven claims exercised by the verification suites, not from
-optimization.
+from the proven claims exercised by the verification suites (``verify``), not
+from optimization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize
 
-from .channel import BeamSplitterChannel, complement_identity_check, degradation_witness
+from .channel import BeamSplitterChannel
 from .linalg import shannon_entropy, von_neumann_entropy
-from .magic import mrm
-from .parallel import parallel_map
-from .states import (
-    DensityMatrix,
-    preset_state,
-    random_density_matrix,
-    stabilizer_family,
-)
-from .weyl import MAX_DIM, BSParams, QuditParams
+from .states import DensityMatrix, preset_state, random_density_matrix
+from .weyl import BSParams
 
 LOG_FLOOR = 1e-300  # eigenvalues are floored here inside the gradient's log2
 
@@ -130,13 +122,7 @@ class CapacityReport:
             "traces": list(self.traces),
             "restarts_run": self.restarts_run,
             "seed": self.seed,
-            "budget": {
-                "restarts": self.budget.restarts,
-                "iterations": self.budget.iterations,
-                "pool_random": self.budget.pool_random,
-                "pool_pairs": self.budget.pool_pairs,
-                "polish_steps": self.budget.polish_steps,
-            },
+            "budget": asdict(self.budget),
             "budget_exhausted": self.budget_exhausted,
             "evaluations": self.evaluations,
             "restarts_converged": self.restarts_converged,
@@ -231,6 +217,8 @@ def qcap_one_shot(
     Deterministic for a fixed seed; per-restart seeds are split off the
     master seed.
     """
+    from scipy import optimize  # here, not at module level: it is slower to import than all of qmc
+
     budget = budget or OptimizerBudget()
     if chan.params.dim > 49:
         raise ValueError("optimization space capped at d^n <= 49")
@@ -389,297 +377,3 @@ def capacity_witness_construction(bsparams: BSParams) -> CapacityWitness:
         output_spectrum=out_spec,
         complement_spectrum=comp_spec,
     )
-
-
-# ---------------------------------------------------------------------------
-# Claim suites
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    d: int = 7
-    s: int = 2
-    t: int = 2
-    n: int = 1
-    seed: int = 0
-    samples: int = 100
-    env_samples: int = 5
-    restarts: int = 32
-    iterations: int = 2000
-    trials: int = 200
-    logical_dim: int = 2
-
-    def __post_init__(self):
-        # a suite sized by a count below 1 would check nothing and still pass
-        for name in ("samples", "env_samples", "trials"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-
-    def params(self) -> QuditParams:
-        return QuditParams(self.d, self.n)
-
-    def bsparams(self) -> BSParams:
-        return BSParams(self.params(), self.s, self.t)
-
-    def budget(self) -> OptimizerBudget:
-        return OptimizerBudget(restarts=self.restarts, iterations=self.iterations)
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "s": self.s,
-            "t": self.t,
-            "n": self.n,
-            "seed": self.seed,
-            "samples": self.samples,
-            "env_samples": self.env_samples,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "trials": self.trials,
-            "logical_dim": self.logical_dim,
-        }
-
-
-@dataclass(frozen=True)
-class CheckLine:
-    claim: str
-    measured: float
-    threshold: float
-    comparison: str = "<="
-
-    @property
-    def passed(self) -> bool:
-        if self.comparison == "<=":
-            return self.measured <= self.threshold
-        return self.measured >= self.threshold
-
-    @property
-    def violation(self) -> float:
-        """Signed slack; positive means the claim failed by that much."""
-        if self.comparison == "<=":
-            return self.measured - self.threshold
-        return self.threshold - self.measured
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "measured": self.measured,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "pass": self.passed,
-        }
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    config: dict
-    samples: int
-    checks: list[CheckLine] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def worst_violation(self) -> float:
-        return max((c.violation for c in self.checks), default=-math.inf)
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.suite,
-            "config": self.config,
-            "samples": self.samples,
-            "worst_violation": self.worst_violation,
-            "pass": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            flag = "PASS" if c.passed else "FAIL"
-            out.append(f"[{flag}] {self.suite}: {c.claim} (measured {c.measured:.6g}, "
-                       f"{c.comparison} {c.threshold:.6g})")
-        return out
-
-
-THEOREM_SUITES = ("theorem-2", "theorem-3", "theorem-4", "theorem-5")
-
-
-def verify_theorem(theorem_id: str, cfg: VerifyConfig) -> SuiteReport:
-    if theorem_id == "theorem-2":
-        return _suite_stabilizer_environments(cfg)
-    if theorem_id == "theorem-3":
-        return _suite_magic_gain(cfg)
-    if theorem_id == "theorem-4":
-        return _suite_magic_bound(cfg)
-    if theorem_id == "theorem-5":
-        return _suite_symmetry(cfg)
-    raise ValueError(f"unknown theorem id {theorem_id!r}; choose from {THEOREM_SUITES}")
-
-
-def _channel(cfg: VerifyConfig, env: DensityMatrix) -> BeamSplitterChannel:
-    return BeamSplitterChannel(cfg.bsparams(), env)
-
-
-def _suite_stabilizer_environments(cfg: VerifyConfig) -> SuiteReport:
-    """Every minimal stabilizer-projection environment keeps coherent
-    information nonpositive, for random inputs and under optimization."""
-    params = cfg.params()
-    family = stabilizer_family(params)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    inputs = [random_density_matrix(params, rng) for _ in range(cfg.samples)]
-
-    def worst_for_env(idx: int) -> float:
-        chan = _channel(cfg, family.state_at(idx))
-        return max(coherent_information(chan, rho) for rho in inputs)
-
-    worst = max(parallel_map(worst_for_env, range(len(family))))
-    report = SuiteReport(
-        suite="theorem-2", config=cfg.to_dict(), samples=len(family) * cfg.samples
-    )
-    report.checks.append(
-        CheckLine("coherent information over all stabilizer environments", worst, 1e-9)
-    )
-
-    env_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-    picked = env_rng.choice(len(family), size=min(cfg.env_samples, len(family)), replace=False)
-    best = -math.inf
-    for idx in sorted(int(i) for i in picked):
-        result = qcap_one_shot(_channel(cfg, family.state_at(idx)), cfg.budget(), seed=cfg.seed + idx)
-        best = max(best, result.best_value)
-    report.checks.append(
-        CheckLine("optimizer lower bound over sampled stabilizer environments", best, 1e-6)
-    )
-    return report
-
-
-def _suite_magic_gain(cfg: VerifyConfig) -> SuiteReport:
-    witness = capacity_witness_construction(cfg.bsparams())
-    chan = _channel(cfg, witness.environment)
-    measured = coherent_information(chan, witness.input_state)
-    report = SuiteReport(suite="theorem-3", config=cfg.to_dict(), samples=1)
-    report.checks.append(
-        CheckLine(
-            f"construction ({witness.case}) value {measured:.6f} matches its closed form "
-            f"{witness.expected_bits:.6f}",
-            abs(measured - witness.expected_bits),
-            1e-9,
-        )
-    )
-    out_vals = np.linalg.eigvalsh(chan.apply_matrix(witness.input_state.matrix))[::-1]
-    comp_vals = np.linalg.eigvalsh(chan.apply_matrix(witness.input_state.matrix, complement=True))[::-1]
-    expected_out = np.sort(np.array(witness.output_spectrum + (0.0,) * (cfg.d - len(witness.output_spectrum))))[::-1]
-    expected_comp = np.sort(np.array(witness.complement_spectrum + (0.0,) * (cfg.d - len(witness.complement_spectrum))))[::-1]
-    report.checks.append(
-        CheckLine("output spectrum matches", float(np.max(np.abs(out_vals - expected_out))), 1e-9)
-    )
-    report.checks.append(
-        CheckLine(
-            "complement spectrum matches", float(np.max(np.abs(comp_vals - expected_comp))), 1e-9
-        )
-    )
-    if witness.case in ("balanced", "anti-balanced"):
-        report.checks.append(
-            CheckLine("value close to 0.0178", abs(measured - 0.0178), 5e-4)
-        )
-    result = qcap_one_shot(
-        chan, cfg.budget(), seed=cfg.seed, initial_states=(witness.input_state,)
-    )
-    report.checks.append(
-        CheckLine(
-            "optimizer confirms the constructed value as a lower bound",
-            result.best_value,
-            witness.expected_bits - 1e-6,
-            comparison=">=",
-        )
-    )
-    return report
-
-
-def _suite_magic_bound(cfg: VerifyConfig) -> SuiteReport:
-    params = cfg.params()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
-    report = SuiteReport(suite="theorem-4", config=cfg.to_dict(), samples=cfg.env_samples)
-    worst_slack = -math.inf
-    for k in range(cfg.env_samples):
-        env = random_density_matrix(params, rng)
-        bound = mrm(env)
-        result = qcap_one_shot(_channel(cfg, env), cfg.budget(), seed=cfg.seed + 1000 + k)
-        worst_slack = max(worst_slack, result.best_value - bound)
-    report.checks.append(
-        CheckLine("optimizer lower bound minus magic bound over random environments", worst_slack, 1e-6)
-    )
-    env = preset_state("uniform-01", params)
-    report.checks.append(
-        CheckLine(
-            "uniform two-ket environment has magic log2(d)",
-            abs(mrm(env) - math.log2(cfg.d)),
-            1e-9,
-        )
-    )
-    chan1 = _channel(cfg, env)
-    params2 = QuditParams(cfg.d, 2)
-    bs2 = BSParams(params2, cfg.s, cfg.t)
-    chan2 = BeamSplitterChannel(bs2, env.tensor(env))
-    worst_add = 0.0
-    for k in range(3):
-        rho = random_density_matrix(params, rng)
-        one = coherent_information(chan1, rho)
-        two = coherent_information(chan2, rho.tensor(rho))
-        worst_add = max(worst_add, abs(two - 2 * one))
-    report.checks.append(
-        CheckLine("coherent information doubles on product environments", worst_add, 1e-8)
-    )
-    report.checks.extend(_k_copy_checks(cfg))
-    return report
-
-
-def _k_copy_checks(cfg: VerifyConfig) -> list[CheckLine]:
-    """Linear growth in the number k of magic states: I_c of k witness copies
-    and mrm of k witness environments against k times one copy, k = 1..3
-    within ``MAX_DIM``."""
-    witness = capacity_witness_construction(cfg.bsparams())
-    env = env_k = witness.environment
-    rho = rho_k = witness.input_state
-    copies = [k for k in (1, 2, 3) if cfg.d**k <= MAX_DIM]
-    one_ic, one_mrm = coherent_information(_channel(cfg, env), rho), mrm(env)
-    worst_ic = worst_mrm = 0.0
-    for k in copies:
-        env_k, rho_k = (env_k.tensor(env), rho_k.tensor(rho)) if k > 1 else (env, rho)
-        chan = BeamSplitterChannel(BSParams(QuditParams(cfg.d, k), cfg.s, cfg.t), env_k)
-        worst_ic = max(worst_ic, abs(coherent_information(chan, rho_k) - k * one_ic))
-        worst_mrm = max(worst_mrm, abs(mrm(env_k) - k * one_mrm))
-    span = f"k = 1..{copies[-1]}"
-    return [
-        CheckLine(f"coherent information of k witness copies is k times one copy ({span})", worst_ic, 1e-9),
-        CheckLine(f"magic of k witness environments is k times one copy ({span})", worst_mrm, 1e-9),
-    ]
-
-
-def _suite_symmetry(cfg: VerifyConfig) -> SuiteReport:
-    params = cfg.params()
-    bs = cfg.bsparams()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
-    report = SuiteReport(suite="theorem-5", config=cfg.to_dict(), samples=cfg.env_samples)
-    worst = 0.0
-    for _ in range(cfg.env_samples):
-        env = random_density_matrix(params, rng)
-        worst = max(worst, complement_identity_check(bs, env).frobenius_distance)
-    report.checks.append(
-        CheckLine("complement identity over random environments (Choi distance)", worst, 1e-9)
-    )
-    if bs.s % cfg.d == bs.t % cfg.d:
-        env = preset_state("symmetric-pm1", params)
-        witness = degradation_witness(bs, env)
-        report.checks.append(
-            CheckLine("degradation witness for the symmetric two-ket state", witness.frobenius_distance, 1e-9)
-        )
-        result = qcap_one_shot(_channel(cfg, env), cfg.budget(), seed=cfg.seed)
-        report.checks.append(
-            CheckLine("optimizer lower bound on the symmetric environment", result.best_value, 1e-4)
-        )
-    return report

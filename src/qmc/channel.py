@@ -70,16 +70,23 @@ def beam_splitter_permutation(bsparams: BSParams) -> np.ndarray:
     return (i * b.params.dim + j).reshape(-1)
 
 
+def branch_columns(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, ranks) for one state or a stack of them: C = V sqrt(diag(lambda))
+    over the ascending eigenvalues, with the columns at or below
+    ``BRANCH_CUTOFF`` zeroed, and the number of columns kept per state."""
+    vals, vecs = np.linalg.eigh(states)
+    keep = vals > BRANCH_CUTOFF
+    return vecs * np.sqrt(np.where(keep, vals, 0.0))[..., None, :], keep.sum(axis=-1)
+
+
 def purifiers(states: np.ndarray) -> np.ndarray:
     """P[..., :, :] with sigma = P P^dag for one state or a stack of them:
     columns sqrt(lambda_k) v_k for the eigenvalues above ``BRANCH_CUTOFF``
     (ascending, so the last columns), after zero columns that pad every
     state of a stack to the stack's largest rank.  Zero columns add nothing
     to any Stinespring sum."""
-    vals, vecs = np.linalg.eigh(states)
-    keep = vals > BRANCH_CUTOFF
-    lo = vals.shape[-1] - int(keep.sum(axis=-1).max())
-    return vecs[..., lo:] * np.sqrt(np.where(keep[..., lo:], vals[..., lo:], 0.0))[..., None, :]
+    cols, ranks = branch_columns(states)
+    return np.ascontiguousarray(cols[..., cols.shape[-1] - int(ranks.max()) :])
 
 
 def stinespring_gather(i: np.ndarray, j: np.ndarray, psi: np.ndarray, purifier: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Every command emits a JSON report {inputs_echo, results, seed, version,
 wall_time_ms}; tabular outputs (parameter listings, contraction traces) can
 switch to CSV.  Exit codes: 0 success, 1 a verified claim failed, 2 bad
-configuration.  QMC_THREADS above 1 runs the sweep-style suites on that many
-worker threads; they run serially by default.
+configuration.  Every command, each verification suite included, runs
+serially; QMC_THREADS reaches none of them.
 """
 
 from __future__ import annotations
@@ -17,16 +17,19 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
-from .capacity import OptimizerBudget, VerifyConfig, qcap_one_shot
+from .capacity import OptimizerBudget, coherent_information, coherent_information_purification, qcap_one_shot
 from .channel import BeamSplitterChannel, convolve, convolve_complement, iterate_convolution
-from .coding import entanglement_fidelity, magic_code_construction, stabilizer_code_construction
+from .coding import (
+    entanglement_fidelity,
+    fidelity_ratio_bound_check,
+    magic_code_construction,
+    stabilizer_code_construction,
+)
 from .linalg import von_neumann_entropy
 from .magic import MrmInfError, mrm, mrm_enumerated, mrm_inf_certificate, wigner_negativity
 from .states import DensityMatrix, preset_state, read_state, state_to_payload
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITES, VerifyConfig, run_suite, suite_members
 from .weyl import BSParams, QuditParams, valid_st_pairs, wigner_function
 
 EXIT_OK = 0
@@ -50,18 +53,12 @@ class RunConfig:
     fmt: str = "json"
 
     def params(self) -> QuditParams:
-        try:
-            return QuditParams(self.d, self.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return QuditParams(self.d, self.n)
 
     def bsparams(self) -> BSParams:
         if self.s is None or self.t is None:
             raise ConfigError("this command needs --s and --t")
-        try:
-            return BSParams(self.params(), self.s, self.t)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return BSParams(self.params(), self.s, self.t)
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -71,10 +68,7 @@ class RunConfig:
 
 def _load_state(spec: str, params: QuditParams, bsparams: BSParams | None) -> DensityMatrix:
     if spec.startswith("preset:"):
-        try:
-            return preset_state(spec.split(":", 1)[1], params, bsparams)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return preset_state(spec.split(":", 1)[1], params, bsparams)
     path = spec.split(":", 1)[1] if spec.startswith("file:") else spec
     try:
         state = read_state(path)
@@ -144,8 +138,6 @@ def cmd_coherent(cfg: RunConfig, args) -> int:
     env = _load_state(args.env, cfg.params(), bs)
     rho = _load_state(args.input, cfg.params(), bs)
     chan = BeamSplitterChannel(bs, env)
-    from .capacity import coherent_information, coherent_information_purification
-
     direct = coherent_information(chan, rho)
     via_purification = coherent_information_purification(chan, rho)
     results = {
@@ -248,41 +240,26 @@ def cmd_fidelity(cfg: RunConfig, args) -> int:
     if args.K == 2 and bs.nontrivial and (bs.s**2 - bs.t**2) % cfg.d != 0:
         _, magic_code = magic_code_construction(bs)
         results["magic_code_fidelity"] = entanglement_fidelity(magic_code, chan)
+    passed = True
     if args.trials:
-        from .coding import fidelity_ratio_bound_check
-
-        seed = cfg.require_seed()
-        search = fidelity_ratio_bound_check(env, bs, args.K, args.trials, seed)
+        search = fidelity_ratio_bound_check(env, bs, args.K, args.trials, cfg.require_seed())
         results["search"] = search.to_dict()
-        if not search.passed:
-            _emit(_wrap(cfg, {"d": cfg.d, "s": bs.s, "t": bs.t, "env": args.env, "K": args.K},
-                        results, started), cfg)
-            return EXIT_CHECK_FAILED
+        passed = search.passed
     _emit(_wrap(cfg, {"d": cfg.d, "s": bs.s, "t": bs.t, "env": args.env, "K": args.K}, results, started), cfg)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
-    if args.suite not in SUITE_NAMES:
-        raise ConfigError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
+    members = suite_members(args.suite)
     _require_at_least(1, samples=args.samples, env_samples=args.env_samples, trials=args.trials)
     seed = cfg.require_seed()
-    if args.suite in ("theorem-2", "theorem-3", "theorem-4", "theorem-5", "all", "coding"):
-        bs = cfg.bsparams()  # validates (s, t) early
-    vcfg = VerifyConfig(
-        d=cfg.d,
-        s=cfg.s if cfg.s is not None else 2,
-        t=cfg.t if cfg.t is not None else 2,
-        n=cfg.n,
-        seed=seed,
-        samples=args.samples,
-        env_samples=args.env_samples,
-        restarts=args.restarts,
-        iterations=args.iterations,
-        trials=args.trials,
-        logical_dim=args.K,
-    )
+    if any(SUITES[m].needs_weights for m in members):
+        cfg.bsparams()  # validates (s, t) early
+    weights = {name: value for name, value in (("s", cfg.s), ("t", cfg.t)) if value is not None}
+    vcfg = VerifyConfig(d=cfg.d, n=cfg.n, seed=seed, samples=args.samples, env_samples=args.env_samples,
+                        restarts=args.restarts, iterations=args.iterations, trials=args.trials,
+                        logical_dim=args.K, **weights)
     reports = run_suite(args.suite, vcfg)
     for rep in reports:
         for line in rep.lines():

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BeamSplitterChannel, purifiers, stinespring_gather
+from .channel import BeamSplitterChannel, branch_columns, stinespring_gather
 from .magic import mrm_inf
 from .states import DensityMatrix, StabilizerFamily, preset_state, stabilizer_family
 from .weyl import BSParams, QuditParams, scale_indices
@@ -366,11 +366,21 @@ class SearchReport:
 
 def _cycled_purifiers(family: StabilizerFamily) -> Callable[[int, int], np.ndarray]:
     """``purifiers_of`` for trials cycled over the family: trial i runs on
-    member i mod len(family), the block's members purified as one stack."""
+    member i mod len(family).  Each member's branch columns are computed the
+    first time a search needs them and kept on the member; a block's are cut
+    to the block's largest rank, the same array ``purifiers`` gives for the
+    stacked states."""
+
+    def branches(i: int) -> tuple[np.ndarray, int]:
+        member = family.members[i]
+        if member.branches is None:
+            cols, rank = branch_columns(family.state_at(i).matrix)
+            member.branches = cols, int(rank)
+        return member.branches
 
     def purifiers_of(lo: int, t: int) -> np.ndarray:
-        members = np.arange(lo, lo + t) % len(family)
-        return purifiers(np.stack([family.state_at(int(e)).matrix for e in members]))
+        cols, ranks = zip(*(branches(int(e)) for e in np.arange(lo, lo + t) % len(family)))
+        return np.stack([c[:, -max(ranks) :] for c in cols])
 
     return purifiers_of
 
@@ -389,8 +399,9 @@ def stabilizer_ceiling_search(
     decoders, cycled over every enumerated environment; the deterministic
     1/K construction is always included so the search also certifies the
     ceiling is reachable.  The trials run in stacked blocks
-    (``_search_trials``), each block's environments purified by one stacked
-    eigendecomposition and padded to the block's largest rank.  Exhausting
+    (``_search_trials``), each block's environment purifiers padded to the
+    block's largest rank; each member is purified once per family
+    (``_cycled_purifiers``).  Exhausting
     the budget without a violation is the expected outcome, not an error;
     a negative ``trials`` raises ValueError.
     """

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .linalg import relative_entropy, von_neumann_entropy
 from .states import DensityMatrix, StabilizerFamily, mean_state, pure_stabilizer_projectors, stabilizer_family
@@ -232,6 +231,8 @@ def _herm(a: np.ndarray) -> np.ndarray:
 
 def _inverse_factor(x: np.ndarray) -> np.ndarray:
     """L^-1 for the Cholesky factor L of a positive definite x."""
+    from scipy.linalg import solve_triangular  # not at module level: slower to import than all of qmc
+
     chol = np.linalg.cholesky(x)
     return solve_triangular(chol, np.eye(len(x)), lower=True, check_finite=False)
 
@@ -283,6 +284,8 @@ def _schur_factor(m: np.ndarray) -> tuple[tuple, int]:
     factorization is then retried with the diagonal scaled by 1 + t for the
     shifts t in ``_SCHUR_SHIFTS``.
     """
+    from scipy.linalg import cho_factor
+
     diag = m.diagonal().copy()
     for count, shift in enumerate(_SCHUR_SHIFTS, start=1):
         np.fill_diagonal(m, diag * (1.0 + shift))
@@ -305,6 +308,8 @@ def _hkm_step(vecs, rho_m, y, s, w, z):
     corrector targets sigma mu with sigma = (mu_aff / mu)^3 (Mehrotra).
     Primal and dual take one common step.
     """
+    from scipy.linalg import cho_solve
+
     dim, n_gen = vecs.shape
     vecs_h = vecs.conj().T
     vecs_c = vecs_h.T

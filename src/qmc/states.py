@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import frobenius_distance, von_neumann_entropy
+from .linalg import frobenius_distance
 from .weyl import (
     BSParams,
     CharacteristicTable,
@@ -86,9 +86,6 @@ class DensityMatrix:
         params = QuditParams(self.params.d, self.params.n + other.params.n)
         return DensityMatrix(params, np.kron(self.matrix, other.matrix))
 
-    def entropy(self) -> float:
-        return von_neumann_entropy(self.matrix)
-
 
 def _basis_ket(dim: int, k: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
@@ -149,6 +146,7 @@ class StabilizerMember:
     rank: int
     generators: tuple[tuple[WeylIndex, complex], ...]
     state: DensityMatrix | None = None
+    branches: tuple[np.ndarray, int] | None = None  # ``channel.branch_columns`` of the state, once computed
 
 
 @dataclass
@@ -331,16 +329,14 @@ def random_density_matrix(
 # ---------------------------------------------------------------------------
 
 
-def state_to_payload(rho: DensityMatrix, form: str = "dense") -> dict:
-    if form == "dense":
-        return {
-            "d": rho.params.d,
-            "n": rho.params.n,
-            "form": "dense",
-            "re": rho.matrix.real.tolist(),
-            "im": rho.matrix.imag.tolist(),
-        }
-    raise ValueError(f"unsupported serialization form {form!r}")
+def state_to_payload(rho: DensityMatrix) -> dict:
+    return {
+        "d": rho.params.d,
+        "n": rho.params.n,
+        "form": "dense",
+        "re": rho.matrix.real.tolist(),
+        "im": rho.matrix.imag.tolist(),
+    }
 
 
 def state_from_payload(payload: dict) -> DensityMatrix:
@@ -360,9 +356,9 @@ def state_from_payload(payload: dict) -> DensityMatrix:
     raise ValueError(f"unknown state form {form!r}")
 
 
-def write_state(path, rho: DensityMatrix, form: str = "dense"):
+def write_state(path, rho: DensityMatrix):
     with open(path, "w") as fh:
-        json.dump(state_to_payload(rho, form), fh, sort_keys=True)
+        json.dump(state_to_payload(rho), fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,16 +1,31 @@
-"""Aggregate verification suites: phase-space lemmas and the coding checks.
+"""The claim suites and the one table that says which exist and when each runs.
 
-Complements the per-claim capacity suites; everything here reports through
-the same SuiteReport structure so the CLI can print one pass/fail line per
-claim.
+Each suite checks one group of the paper's claims and reports through
+``SuiteReport``, one pass/fail ``CheckLine`` per claim: theorem-2
+(stabilizer environments give no capacity), theorem-3 (a magic environment
+gives a gain), theorem-4 (the gain is bounded by magic and grows linearly in
+its copies), theorem-5 (the symmetry identities), the phase-space lemmas and
+the coding checks.  ``SUITES`` lists them with their premises; ``run_suite``
+checks those premises (``check_suite_n``) and dispatches.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from .capacity import CheckLine, SuiteReport, VerifyConfig, verify_theorem
-from .channel import BeamSplitterChannel, beam_splitter_permutation, convolve, iterate_convolution
+from .capacity import OptimizerBudget, capacity_witness_construction, coherent_information, qcap_one_shot
+from .channel import (
+    BeamSplitterChannel,
+    beam_splitter_permutation,
+    complement_identity_check,
+    convolve,
+    degradation_witness,
+    iterate_convolution,
+)
 from .coding import (
     entanglement_fidelity,
     fidelity_ratio_bound_check,
@@ -19,6 +34,7 @@ from .coding import (
     stabilizer_code_construction,
 )
 from .linalg import partial_trace
+from .magic import mrm
 from .states import (
     DensityMatrix,
     preset_state,
@@ -26,7 +42,252 @@ from .states import (
     random_pure_state,
     stabilizer_family,
 )
-from .weyl import BSParams, QuditParams, characteristic_function, wigner_function, _digit_table, _weyl_exponents
+from .weyl import (
+    MAX_DIM,
+    BSParams,
+    QuditParams,
+    characteristic_function,
+    wigner_function,
+    _digit_table,
+    _weyl_exponents,
+)
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    d: int = 7
+    s: int = 2
+    t: int = 2
+    n: int = 1
+    seed: int = 0
+    samples: int = 100
+    env_samples: int = 5
+    restarts: int = 32
+    iterations: int = 2000
+    trials: int = 200
+    logical_dim: int = 2
+
+    def __post_init__(self):
+        # a suite sized by a count below 1 would check nothing and still pass
+        for name in ("samples", "env_samples", "trials"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
+    def params(self) -> QuditParams:
+        return QuditParams(self.d, self.n)
+
+    def bsparams(self) -> BSParams:
+        return BSParams(self.params(), self.s, self.t)
+
+    def budget(self) -> OptimizerBudget:
+        return OptimizerBudget(restarts=self.restarts, iterations=self.iterations)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class CheckLine:
+    claim: str
+    measured: float
+    threshold: float
+    comparison: str = "<="
+
+    @property
+    def violation(self) -> float:
+        """Signed slack; positive means the claim failed by that much."""
+        if self.comparison == "<=":
+            return self.measured - self.threshold
+        return self.threshold - self.measured
+
+    @property
+    def passed(self) -> bool:
+        return self.violation <= 0
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "pass": self.passed}
+
+
+@dataclass
+class SuiteReport:
+    suite: str
+    config: dict
+    samples: int
+    checks: list[CheckLine] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def worst_violation(self) -> float:
+        return max((c.violation for c in self.checks), default=-math.inf)
+
+    def to_dict(self) -> dict:
+        return {
+            "theorem": self.suite,
+            "config": self.config,
+            "samples": self.samples,
+            "worst_violation": self.worst_violation,
+            "pass": self.passed,
+            "checks": [c.to_dict() for c in self.checks],
+        }
+
+    def lines(self) -> list[str]:
+        out = []
+        for c in self.checks:
+            flag = "PASS" if c.passed else "FAIL"
+            out.append(f"[{flag}] {self.suite}: {c.claim} (measured {c.measured:.6g}, "
+                       f"{c.comparison} {c.threshold:.6g})")
+        return out
+
+
+def _channel(cfg: VerifyConfig, env: DensityMatrix) -> BeamSplitterChannel:
+    return BeamSplitterChannel(cfg.bsparams(), env)
+
+
+def _suite_stabilizer_environments(cfg: VerifyConfig) -> SuiteReport:
+    """Every minimal stabilizer-projection environment keeps coherent
+    information nonpositive, for random inputs and under optimization."""
+    params = cfg.params()
+    family = stabilizer_family(params)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    inputs = [random_density_matrix(params, rng) for _ in range(cfg.samples)]
+    chans = (_channel(cfg, family.state_at(idx)) for idx in range(len(family)))
+    worst = max(coherent_information(chan, rho) for chan in chans for rho in inputs)
+    report = SuiteReport(
+        suite="theorem-2", config=cfg.to_dict(), samples=len(family) * cfg.samples
+    )
+    report.checks.append(
+        CheckLine("coherent information over all stabilizer environments", worst, 1e-9)
+    )
+    env_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    picked = env_rng.choice(len(family), size=min(cfg.env_samples, len(family)), replace=False)
+    best = max(
+        qcap_one_shot(_channel(cfg, family.state_at(idx)), cfg.budget(), seed=cfg.seed + idx).best_value
+        for idx in sorted(int(i) for i in picked)
+    )
+    report.checks.append(
+        CheckLine("optimizer lower bound over sampled stabilizer environments", best, 1e-6)
+    )
+    return report
+
+
+def _suite_magic_gain(cfg: VerifyConfig) -> SuiteReport:
+    witness = capacity_witness_construction(cfg.bsparams())
+    chan = _channel(cfg, witness.environment)
+    measured = coherent_information(chan, witness.input_state)
+    report = SuiteReport(suite="theorem-3", config=cfg.to_dict(), samples=1)
+    report.checks.append(
+        CheckLine(
+            f"construction ({witness.case}) value {measured:.6f} matches its closed form "
+            f"{witness.expected_bits:.6f}",
+            abs(measured - witness.expected_bits),
+            1e-9,
+        )
+    )
+    for side, spectrum in (("output", witness.output_spectrum), ("complement", witness.complement_spectrum)):
+        vals = np.linalg.eigvalsh(chan.apply_matrix(witness.input_state.matrix, complement=side == "complement"))
+        expected = np.sort(np.array(spectrum + (0.0,) * (cfg.d - len(spectrum))))
+        report.checks.append(CheckLine(f"{side} spectrum matches", float(np.max(np.abs(vals - expected))), 1e-9))
+    if witness.case in ("balanced", "anti-balanced"):
+        report.checks.append(
+            CheckLine("value close to 0.0178", abs(measured - 0.0178), 5e-4)
+        )
+    result = qcap_one_shot(
+        chan, cfg.budget(), seed=cfg.seed, initial_states=(witness.input_state,)
+    )
+    report.checks.append(
+        CheckLine(
+            "optimizer confirms the constructed value as a lower bound",
+            result.best_value,
+            witness.expected_bits - 1e-6,
+            comparison=">=",
+        )
+    )
+    return report
+
+
+def _suite_magic_bound(cfg: VerifyConfig) -> SuiteReport:
+    params = cfg.params()
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
+    report = SuiteReport(suite="theorem-4", config=cfg.to_dict(), samples=cfg.env_samples)
+    worst_slack = -math.inf
+    for k in range(cfg.env_samples):
+        env = random_density_matrix(params, rng)
+        bound = mrm(env)
+        result = qcap_one_shot(_channel(cfg, env), cfg.budget(), seed=cfg.seed + 1000 + k)
+        worst_slack = max(worst_slack, result.best_value - bound)
+    report.checks.append(
+        CheckLine("optimizer lower bound minus magic bound over random environments", worst_slack, 1e-6)
+    )
+    env = preset_state("uniform-01", params)
+    report.checks.append(
+        CheckLine(
+            "uniform two-ket environment has magic log2(d)",
+            abs(mrm(env) - math.log2(cfg.d)),
+            1e-9,
+        )
+    )
+    chan1 = _channel(cfg, env)
+    chan2 = BeamSplitterChannel(BSParams(QuditParams(cfg.d, 2), cfg.s, cfg.t), env.tensor(env))
+    worst_add = 0.0
+    for k in range(3):
+        rho = random_density_matrix(params, rng)
+        one = coherent_information(chan1, rho)
+        two = coherent_information(chan2, rho.tensor(rho))
+        worst_add = max(worst_add, abs(two - 2 * one))
+    report.checks.append(
+        CheckLine("coherent information doubles on product environments", worst_add, 1e-8)
+    )
+    report.checks.extend(_k_copy_checks(cfg))
+    return report
+
+
+def _k_copy_checks(cfg: VerifyConfig) -> list[CheckLine]:
+    """Linear growth in the number k of magic states: I_c of k witness copies
+    and mrm of k witness environments against k times one copy, k = 1..3
+    within ``MAX_DIM``."""
+    witness = capacity_witness_construction(cfg.bsparams())
+    env = env_k = witness.environment
+    rho = rho_k = witness.input_state
+    copies = [k for k in (1, 2, 3) if cfg.d**k <= MAX_DIM]
+    one_ic, one_mrm = coherent_information(_channel(cfg, env), rho), mrm(env)
+    worst_ic = worst_mrm = 0.0
+    for k in copies:
+        env_k, rho_k = (env_k.tensor(env), rho_k.tensor(rho)) if k > 1 else (env, rho)
+        chan = BeamSplitterChannel(BSParams(QuditParams(cfg.d, k), cfg.s, cfg.t), env_k)
+        worst_ic = max(worst_ic, abs(coherent_information(chan, rho_k) - k * one_ic))
+        worst_mrm = max(worst_mrm, abs(mrm(env_k) - k * one_mrm))
+    span = f"k = 1..{copies[-1]}"
+    return [
+        CheckLine(f"coherent information of k witness copies is k times one copy ({span})", worst_ic, 1e-9),
+        CheckLine(f"magic of k witness environments is k times one copy ({span})", worst_mrm, 1e-9),
+    ]
+
+
+def _suite_symmetry(cfg: VerifyConfig) -> SuiteReport:
+    params = cfg.params()
+    bs = cfg.bsparams()
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
+    report = SuiteReport(suite="theorem-5", config=cfg.to_dict(), samples=cfg.env_samples)
+    envs = (random_density_matrix(params, rng) for _ in range(cfg.env_samples))
+    worst = max(complement_identity_check(bs, env).frobenius_distance for env in envs)
+    report.checks.append(
+        CheckLine("complement identity over random environments (Choi distance)", worst, 1e-9)
+    )
+    if bs.s % cfg.d == bs.t % cfg.d:
+        env = preset_state("symmetric-pm1", params)
+        witness = degradation_witness(bs, env)
+        report.checks.append(
+            CheckLine("degradation witness for the symmetric two-ket state", witness.frobenius_distance, 1e-9)
+        )
+        result = qcap_one_shot(_channel(cfg, env), cfg.budget(), seed=cfg.seed)
+        report.checks.append(
+            CheckLine("optimizer lower bound on the symmetric environment", result.best_value, 1e-4)
+        )
+    return report
 
 
 def covariance_mismatches(bsparams: BSParams, label_map: tuple[tuple[int, int], tuple[int, int]]) -> int:
@@ -118,16 +379,11 @@ def lemma_suite(cfg: VerifyConfig) -> SuiteReport:
     report.checks.append(CheckLine("central-limit distance after 60 steps", slowest, 1e-9))
 
     # Wigner nonnegativity across the family; negativity of generic pure states
-    worst = 0.0
-    for i in range(len(family)):
-        worst = max(worst, -float(wigner_function(family.state_at(i)).min()))
+    worst = max(0.0, *(-float(wigner_function(family.state_at(i)).min()) for i in range(len(family))))
     report.checks.append(CheckLine("stabilizer states have nonnegative Wigner tables", worst, 1e-12))
-    negatives = 0
     hudson_trials = 100
-    for _ in range(hudson_trials):
-        psi = random_pure_state(params, rng)
-        if float(wigner_function(psi).min()) < -1e-6:
-            negatives += 1
+    psis = (random_pure_state(params, rng) for _ in range(hudson_trials))
+    negatives = sum(float(wigner_function(psi).min()) < -1e-6 for psi in psis)
     report.checks.append(
         CheckLine(
             "random pure states with a negative Wigner entry",
@@ -146,10 +402,8 @@ def coding_suite(cfg: VerifyConfig) -> SuiteReport:
 
     env0 = preset_state("ket-zero", params)
     chan0 = BeamSplitterChannel(bs, env0)
-    worst = 0.0
-    for k in (2, 3, 4):
-        code = stabilizer_code_construction(params, bs, k)
-        worst = max(worst, abs(entanglement_fidelity(code, chan0) - 1.0 / k))
+    codes = {k: stabilizer_code_construction(params, bs, k) for k in (2, 3, 4)}
+    worst = max(abs(entanglement_fidelity(code, chan0) - 1.0 / k) for k, code in codes.items())
     report.checks.append(
         CheckLine("computational-ket codes reach exactly 1/K", worst, 1e-12)
     )
@@ -188,44 +442,65 @@ def coding_suite(cfg: VerifyConfig) -> SuiteReport:
     return report
 
 
-SUITE_NAMES = ("all", "theorem-2", "theorem-3", "theorem-4", "theorem-5", "lemmas", "coding")
-# suites built on the n=1 stabilizer family, the single-qudit witness
-# constructions or single-qudit preset environments.  Their claims are
-# stated for nontrivial weights: with s or t = 0 mod d the channel only
-# relabels its input or replaces it by the environment.
-SINGLE_QUDIT_SUITES = ("all", "theorem-2", "theorem-3", "theorem-4", "lemmas", "coding")
+class Suite(NamedTuple):
+    """One claim suite and the premises ``check_suite_n`` checks before it runs."""
+
+    run: Callable[[VerifyConfig], SuiteReport]
+    single_qudit: str | None  # why it runs at n = 1 only; None: at any n
+    nontrivial: bool  # its claims are stated for nontrivial weights
+    balanced_only: bool = False  # ``single_qudit`` holds only when s = t mod d
+    needs_weights: bool = True  # the CLI asks for --s/--t; False runs at VerifyConfig's (2, 2)
+
+
+# Every claim suite, in the order 'all' runs them.  With s or t = 0 mod d the
+# channel only relabels its input or replaces it by the environment, which
+# is why most claims need nontrivial weights.
+SUITES = {
+    "theorem-2": Suite(_suite_stabilizer_environments, "it enumerates the n = 1 stabilizer family", True),
+    "theorem-3": Suite(_suite_magic_gain, "its witness construction is single-qudit", True),
+    "theorem-4": Suite(_suite_magic_bound, "its witness construction is single-qudit", True),
+    "theorem-5": Suite(
+        _suite_symmetry,
+        "with s = t mod d it builds its degradation witness on the single-qudit symmetric two-ket state",
+        False,
+        balanced_only=True,
+    ),
+    "lemmas": Suite(
+        lemma_suite,
+        "it enumerates the n = 1 stabilizer family and every single-qudit label pair",
+        True,
+        needs_weights=False,
+    ),
+    "coding": Suite(coding_suite, "its magic code and ceiling search are single-qudit", True),
+}
+
+
+def suite_members(name: str) -> tuple[str, ...]:
+    """The ``SUITES`` entries that suite ``name`` runs: every one, in order, for 'all'."""
+    if name == "all":
+        return tuple(SUITES)
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {('all', *SUITES)}")
+    return (name,)
 
 
 def check_suite_n(name: str, cfg: VerifyConfig) -> None:
-    """Raise ValueError, naming the suite, when it cannot run at ``cfg.n`` or
-    when its claims need nontrivial weights and ``cfg`` has trivial ones."""
-    if name in SINGLE_QUDIT_SUITES and not cfg.bsparams().nontrivial:
-        raise ValueError(
-            f"suite {name!r} checks claims that need nontrivial weights (s^2 and t^2 not 0 or 1 "
-            f"mod d), got (s, t) = ({cfg.s}, {cfg.t}) at d={cfg.d}"
-        )
-    if cfg.n == 1:
-        return
-    if name in SINGLE_QUDIT_SUITES:
-        raise ValueError(f"suite {name!r} runs at n=1 only, got n={cfg.n}")
-    if name == "theorem-5" and cfg.s % cfg.d == cfg.t % cfg.d:
-        raise ValueError(
-            "suite 'theorem-5' with s = t mod d builds its degradation witness on the single-qudit "
-            f"symmetric two-ket state, so it runs at n=1 only, got n={cfg.n}"
-        )
+    """Raise ValueError, naming the suite, when an entry it runs needs
+    nontrivial weights that ``cfg`` lacks, or runs at n = 1 only (with the
+    entry's reason) and ``cfg.n`` is larger."""
+    balanced = cfg.s % cfg.d == cfg.t % cfg.d
+    for member in suite_members(name):
+        suite = SUITES[member]
+        if suite.nontrivial and not cfg.bsparams().nontrivial:
+            raise ValueError(
+                f"suite {name!r} checks claims that need nontrivial weights (s^2 and t^2 not 0 or 1 "
+                f"mod d), got (s, t) = ({cfg.s}, {cfg.t}) at d={cfg.d}"
+            )
+        if cfg.n != 1 and suite.single_qudit and (balanced or not suite.balanced_only):
+            raise ValueError(f"suite {name!r} runs at n=1 only, got n={cfg.n} ({member}: {suite.single_qudit})")
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> list[SuiteReport]:
+    """One report per entry that suite ``name`` runs, once its premises hold."""
     check_suite_n(name, cfg)
-    if name == "lemmas":
-        return [lemma_suite(cfg)]
-    if name == "coding":
-        return [coding_suite(cfg)]
-    if name.startswith("theorem-"):
-        return [verify_theorem(name, cfg)]
-    if name == "all":
-        out = [verify_theorem(f"theorem-{k}", cfg) for k in (2, 3, 4, 5)]
-        out.append(lemma_suite(cfg))
-        out.append(coding_suite(cfg))
-        return out
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    return [SUITES[member].run(cfg) for member in suite_members(name)]

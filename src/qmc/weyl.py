@@ -112,12 +112,6 @@ class WeylIndex:
     def scale(self, k: int, d: int) -> "WeylIndex":
         return WeylIndex(tuple((k * v) % d for v in self.p), tuple((k * v) % d for v in self.q))
 
-    def add(self, other: "WeylIndex", d: int) -> "WeylIndex":
-        return WeylIndex(
-            tuple((a + b) % d for a, b in zip(self.p, other.p)),
-            tuple((a + b) % d for a, b in zip(self.q, other.q)),
-        )
-
 
 @lru_cache(maxsize=None)
 def _digit_table(d: int, n: int) -> np.ndarray:
@@ -135,19 +129,11 @@ def _powers(d: int, n: int) -> np.ndarray:
     return d ** np.arange(n - 1, -1, -1)
 
 
-def encode_digits(params: QuditParams, digits: Sequence[int]) -> int:
-    return int(np.dot([v % params.d for v in digits], _powers(params.d, params.n)))
-
-
 @lru_cache(maxsize=None)
 def scale_indices(d: int, n: int, k: int) -> np.ndarray:
     """Index map enc(v) -> enc(k*v mod d) on flat base-d encodings; read-only."""
     table = (_digit_table(d, n) * (k % d)) % d
     return table @ _powers(d, n)
-
-
-def flat_index(params: QuditParams, x: WeylIndex) -> tuple[int, int]:
-    return encode_digits(params, x.p), encode_digits(params, x.q)
 
 
 def _weyl_exponents(params: QuditParams, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,10 +187,6 @@ class CharacteristicTable:
 
     params: QuditParams
     values: np.ndarray
-
-    def value(self, x: WeylIndex) -> complex:
-        pe, qe = flat_index(self.params, x)
-        return complex(self.values[pe, qe])
 
     def scaled(self, k: int) -> np.ndarray:
         """Table of x -> Xi(k*x), as a plain array."""

@@ -550,6 +550,12 @@ def _phase_space_labels(params):
             yield pe, qe, WeylIndex(p, q)
 
 
+def table_value(table, x) -> complex:
+    """Xi(x) read off a ``CharacteristicTable`` at one point, from ``values[enc(p), enc(q)]``."""
+    shape = (table.params.d,) * table.params.n
+    return complex(table.values[np.ravel_multi_index(x.p, shape), np.ravel_multi_index(x.q, shape)])
+
+
 def characteristic_value(params, m: np.ndarray, x) -> complex:
     """Xi(x) = Tr[rho w(-x)] at one point."""
     rows, phases = weyl_action(params, x.neg(params.d))

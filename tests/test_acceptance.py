@@ -14,11 +14,9 @@ import pytest
 
 from qmc.capacity import (
     OptimizerBudget,
-    VerifyConfig,
     capacity_witness_construction,
     coherent_information,
     qcap_one_shot,
-    verify_theorem,
 )
 from qmc.channel import BeamSplitterChannel, complement_identity_check, degradation_witness
 from qmc.coding import (
@@ -36,7 +34,7 @@ from qmc.states import (
     random_pure_state,
     stabilizer_family,
 )
-from qmc.verify import coding_suite, lemma_suite
+from qmc.verify import VerifyConfig, coding_suite, lemma_suite, run_suite
 from qmc.weyl import BSParams, QuditParams
 
 from oracles import stabilizer_weight_bracket
@@ -102,7 +100,7 @@ def test_criterion_3_stabilizer_environments_full_sweep():
     started = time.perf_counter()
     cfg = VerifyConfig(d=7, s=2, t=2, seed=20240817, samples=100, env_samples=5,
                        restarts=32, iterations=2000)
-    report = verify_theorem("theorem-2", cfg)
+    report = run_suite("theorem-2", cfg)[0]
     elapsed = time.perf_counter() - started
     sweep = report.checks[0]
     optimized = report.checks[1]
@@ -117,15 +115,15 @@ def test_criterion_3_stabilizer_environments_full_sweep():
 
 def test_criterion_4_magic_bound_and_additivity():
     cfg = VerifyConfig(d=7, s=2, t=2, seed=41, env_samples=20, restarts=4, iterations=300)
-    report = verify_theorem("theorem-4", cfg)
+    report = run_suite("theorem-4", cfg)[0]
     slack = report.checks[0]
     mrm_check = report.checks[1]
     additivity = report.checks[2]
     # linear growth in the number of witness copies: k = 1..3 at d=7 from the
     # run above, k = 1, 2 at d=13 from a small-budget run there
-    report13 = verify_theorem(
+    report13 = run_suite(
         "theorem-4", VerifyConfig(d=13, s=2, t=6, seed=42, env_samples=2, restarts=2, iterations=100)
-    )
+    )[0]
     copies = {7: (report.checks[3:], "k = 1..3"), 13: (report13.checks[3:], "k = 1..2")}
     ok = report.passed and report13.passed
     ok = ok and all(len(lines) == 2 and all(span in c.claim and c.threshold == 1e-9 for c in lines)

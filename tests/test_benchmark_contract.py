@@ -1,11 +1,12 @@
-"""The benchmark's output contract, checked on one-second ``magic`` and
-``sweep`` runs.
+"""The benchmark's output contract, checked on one-second ``magic``,
+``sweep`` and ``capacity`` runs.
 
 ``perfbench/run.py`` must end its standard output with one strict JSON
 result line that carries every end-to-end metric ``BENCHMARK.json`` names,
 each finite, with every request checked correct.  A traced run must also
 report the per-layer metrics of the workload's layers (``magic.*`` and
-``coding.*`` for ``magic``, ``channel.*`` for ``sweep``), which needs every
+``coding.*`` for ``magic``, ``channel.*`` for ``sweep``, ``capacity.*`` for
+``capacity``), which needs every
 wrapped library name to exist: ``perfbench/layers.py`` leaves the metrics of
 a missing name out of the report instead of failing, so a renamed search,
 decoder, fidelity or Choi function would otherwise drop its metrics
@@ -38,7 +39,7 @@ def run_workload(workload: str, trace: int) -> dict:
     return json.loads(lines[-1], parse_constant=_reject_constant)
 
 
-def check_result_line(workload: str, trace: int, layers: tuple[str, ...]) -> None:
+def check_result_line(workload: str, trace: int, layers: tuple[str, ...]) -> dict:
     result = run_workload(workload, trace)
     assert result["correct"] is True
     metrics = result["metrics"]
@@ -52,6 +53,7 @@ def check_result_line(workload: str, trace: int, layers: tuple[str, ...]) -> Non
     if trace:
         header = json.loads((ROOT / ".perfbench" / f"trace-{workload}.jsonl").read_text().splitlines()[0])
         assert header["missing"] == []
+    return metrics
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -62,3 +64,11 @@ def test_result_line_is_strict_json_with_finite_metrics(trace):
 @pytest.mark.parametrize("trace", [0, 1])
 def test_sweep_result_line_is_strict_json_with_finite_metrics(trace):
     check_result_line("sweep", trace, ("channel.",))
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_capacity_result_line_is_strict_json_with_finite_metrics(trace):
+    metrics = check_result_line("capacity", trace, ("capacity.",))
+    if trace:
+        # scipy.optimize is imported on first use; the tracer must still see minimize
+        assert metrics["capacity.minimize.nfev"]["value"] > 0

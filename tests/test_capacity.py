@@ -9,13 +9,11 @@ import pytest
 from qmc.capacity import (
     CapacityWitness,
     OptimizerBudget,
-    VerifyConfig,
     _objective,
     capacity_witness_construction,
     coherent_information,
     coherent_information_purification,
     qcap_one_shot,
-    verify_theorem,
 )
 from qmc.channel import BeamSplitterChannel
 from qmc.states import (
@@ -25,6 +23,7 @@ from qmc.states import (
     random_pure_state,
     stabilizer_family,
 )
+from qmc.verify import VerifyConfig, run_suite
 from qmc.weyl import BSParams, QuditParams
 
 from oracles import ic_gradient_fd
@@ -290,34 +289,34 @@ class TestOptimizer:
 class TestVerifySuites:
     def test_magic_gain_suite_d13(self):
         cfg = VerifyConfig(d=13, s=2, t=6, seed=3, restarts=2, iterations=100)
-        report = verify_theorem("theorem-3", cfg)
+        report = run_suite("theorem-3", cfg)[0]
         assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
         assert report.suite == "theorem-3"
         assert report.worst_violation <= 0
 
     def test_stabilizer_suite_small(self):
         cfg = VerifyConfig(d=7, s=2, t=2, seed=4, samples=5, env_samples=1, restarts=2, iterations=60)
-        report = verify_theorem("theorem-2", cfg)
+        report = run_suite("theorem-2", cfg)[0]
         assert report.passed
 
     def test_magic_bound_suite_small(self):
         cfg = VerifyConfig(d=7, s=2, t=2, seed=5, env_samples=2, restarts=2, iterations=60)
-        report = verify_theorem("theorem-4", cfg)
+        report = run_suite("theorem-4", cfg)[0]
         assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 
     def test_symmetry_suite_small(self):
         cfg = VerifyConfig(d=7, s=2, t=2, seed=6, env_samples=3, restarts=2, iterations=60)
-        report = verify_theorem("theorem-5", cfg)
+        report = run_suite("theorem-5", cfg)[0]
         assert report.passed
         assert any("degradation" in c.claim for c in report.checks)
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError, match="unknown theorem"):
-            verify_theorem("theorem-9", VerifyConfig())
+        with pytest.raises(ValueError, match="unknown suite 'theorem-9'"):
+            run_suite("theorem-9", VerifyConfig())
 
     def test_report_serialization(self):
         cfg = VerifyConfig(d=13, s=2, t=6, seed=3, restarts=1, iterations=40)
-        report = verify_theorem("theorem-3", cfg)
+        report = run_suite("theorem-3", cfg)[0]
         payload = report.to_dict()
         assert set(payload) >= {"theorem", "config", "samples", "worst_violation", "pass", "checks"}
         assert payload["pass"] is True

@@ -192,7 +192,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("field", ["trials", "samples", "env_samples"])
     def test_verify_config_rejects_counts_below_one(self, field):
-        from qmc.capacity import VerifyConfig
+        from qmc.verify import VerifyConfig
 
         with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
             VerifyConfig(**{field: 0})
@@ -213,7 +213,7 @@ class TestVerifyCommand:
 
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         import qmc.cli as cli_mod
-        from qmc.capacity import CheckLine, SuiteReport
+        from qmc.verify import CheckLine, SuiteReport
 
         def fake_run_suite(name, cfg):
             rep = SuiteReport(suite=name, config=cfg.to_dict(), samples=1)
@@ -232,12 +232,14 @@ class TestVerifyCommand:
         def started(*args):
             raise AssertionError("the suite started before its n was checked")
 
-        for name in ("lemma_suite", "coding_suite", "verify_theorem"):
-            monkeypatch.setattr(verify_mod, name, started)
+        for name, entry in verify_mod.SUITES.items():
+            monkeypatch.setitem(verify_mod.SUITES, name, entry._replace(run=started))
         code = main(["verify", "--suite", suite, "--d", "7", "--n", "2", "--s", "2", "--t", "2", "--seed", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert f"suite {suite!r}" in err and "n=1 only, got n=2" in err
+        first = verify_mod.suite_members(suite)[0]  # 'all' is rejected by its first member
+        assert verify_mod.SUITES[first].single_qudit in err
 
     @pytest.mark.parametrize("suite", ["theorem-2", "theorem-3", "theorem-4", "lemmas", "coding", "all"])
     @pytest.mark.parametrize("d, s, t", TRIVIAL_WEIGHTS)
@@ -247,8 +249,8 @@ class TestVerifyCommand:
         def started(*args):
             raise AssertionError("the suite started before its weights were checked")
 
-        for name in ("lemma_suite", "coding_suite", "verify_theorem"):
-            monkeypatch.setattr(verify_mod, name, started)
+        for name, entry in verify_mod.SUITES.items():
+            monkeypatch.setitem(verify_mod.SUITES, name, entry._replace(run=started))
         code = main(["verify", "--suite", suite, "--d", str(d), "--s", str(s), "--t", str(t), "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 2
@@ -263,7 +265,7 @@ class TestVerifyCommand:
         assert json.loads(out)["results"]["pass"] is True
 
     def test_theorem5_runs_at_n2_with_unequal_weights(self):
-        from qmc.capacity import VerifyConfig
+        from qmc.verify import VerifyConfig
         from qmc.verify import check_suite_n
 
         check_suite_n("theorem-5", VerifyConfig(d=7, s=2, t=5, n=2))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qmc.coding as coding
-from qmc.channel import BeamSplitterChannel
+from qmc.channel import BeamSplitterChannel, branch_columns, purifiers
 from qmc.cli import main
 from qmc.coding import (
     CodeSpec,
@@ -23,6 +24,7 @@ from qmc.coding import (
 from qmc.magic import mrm_inf
 from qmc.states import (
     DensityMatrix,
+    StabilizerFamily,
     enumerate_stabilizers,
     preset_state,
     random_density_matrix,
@@ -223,6 +225,44 @@ class TestCeilingSearch:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 0, got -2"):
             stabilizer_ceiling_search(P7, BS72, 2, trials=-2, seed=1)
+
+    @pytest.mark.parametrize("params, bs, trials", [(P7, BS72, 130), (P13, BS13, 400)])
+    def test_kept_purifiers_are_the_stacked_ones(self, params, bs, trials):
+        # every block, the maximally mixed member's included, is byte for byte
+        # what purifying the block's states as one stack gives, so every seed
+        # decodes the same codes to the same fidelities
+        family = enumerate_stabilizers(params)
+        purifiers_of = coding._cycled_purifiers(family)
+        for lo in range(0, trials, 32):
+            t = min(32, trials - lo)
+            states = np.stack([family.state_at(int(e)).matrix for e in np.arange(lo, lo + t) % len(family)])
+            kept, stacked = purifiers_of(lo, t), purifiers(states)
+            assert kept.dtype == stacked.dtype and kept.shape == stacked.shape
+            assert kept.tobytes() == stacked.tobytes()
+        gather = BeamSplitterChannel(bs, family.state_at(0)).gather_indices()
+        for seed in (0, 1, 2):
+            found = [
+                coding._search_trials(np.random.default_rng(seed), trials, 2, gather, of, -math.inf)
+                for of in (purifiers_of, lambda lo, t: purifiers(np.stack(
+                    [family.state_at(int(e)).matrix for e in np.arange(lo, lo + t) % len(family)])))
+            ]
+            assert found[0] == found[1]
+
+    def test_second_search_purifies_no_member_again(self, monkeypatch):
+        # fresh members: the cached family's may already hold their purifiers
+        family = StabilizerFamily(P7, [replace(m, branches=None) for m in stabilizer_family(P7).members])
+        calls = []
+
+        def counting(states):
+            calls.append(1)
+            return branch_columns(states)
+
+        monkeypatch.setattr(coding, "branch_columns", counting)
+        first = stabilizer_ceiling_search(P7, BS72, 2, trials=len(family) + 5, seed=3, family=family)
+        assert len(calls) == len(family)
+        second = stabilizer_ceiling_search(P7, BS72, 2, trials=len(family) + 5, seed=3, family=family)
+        assert len(calls) == len(family)
+        assert first.to_dict() == second.to_dict()
 
     def test_peak_memory_does_not_grow_with_trials(self):
         # trials run in blocks of at most BLOCK_ELEMENTS elements per array;

@@ -7,16 +7,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPRODUCE = ROOT / "scripts" / "reproduce_results.py"
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg and scipy.optimize take longer to import than the rest of
+    # qmc; only the cone program and the optimizer use them, on first call
+    code = "import sys, qmc; print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_reproduce_results_quick(tmp_path):
     spec = importlib.util.spec_from_file_location("reproduce_results", REPRODUCE)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, str(REPRODUCE), "--quick", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=600,
+        capture_output=True, text=True, env=ENV, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "overall: PASS" in proc.stdout

@@ -31,6 +31,7 @@ from oracles import (
     phase_point_operator,
     random_clifford,
     symplectic_ft_wigner,
+    table_value,
     wigner_function_loop,
 )
 
@@ -125,11 +126,11 @@ class TestCharacteristicFunction:
         for p in range(7):
             for q in range(7):
                 expected = 1.0 if q == 0 else 0.0
-                assert abs(table.value(WeylIndex.make(P7, p, q)) - expected) <= 1e-12
+                assert abs(table_value(table, WeylIndex.make(P7, p, q)) - expected) <= 1e-12
 
     def test_unit_trace_entry(self, rng):
         rho = random_density_matrix(P7, rng)
-        assert characteristic_function(rho).value(WeylIndex.zero(P7)) == pytest.approx(1.0)
+        assert table_value(characteristic_function(rho), WeylIndex.zero(P7)) == pytest.approx(1.0)
 
     def test_maximally_mixed_indicator(self):
         rho = DensityMatrix(P7, np.eye(7) / 7)
@@ -212,7 +213,7 @@ class TestWigner:
             table = characteristic_function(rho)
 
             def char_fn(p_vec, q_vec):
-                return table.value(WeylIndex.make(params, p_vec, q_vec))
+                return table_value(table, WeylIndex.make(params, p_vec, q_vec))
 
             oracle = symplectic_ft_wigner(rho.matrix, 5, 1, char_fn)
             assert np.max(np.abs(wigner_function(rho) - oracle)) <= 1e-9
