@@ -1,11 +1,13 @@
 """Coherent information, the one-shot capacity optimizer, and the witness.
 
-Coherent information and its exact gradient run on the channel's Weyl
-multipliers and their adjoints (``_ic_matrix_fn``).  The optimizer reports
-certified lower bounds only: the value returned is the best coherent
-information actually evaluated, never an optimality claim.  Upper bounds come
-from the proven claims exercised by the verification suites (``verify``), not
-from optimization.
+Coherent information and its exact gradient run through one fused kernel
+(``_ic_matrix_fn``): the channel and its complement are the two blocks of
+one Weyl multiplier, so both outputs come from one input DFT, their spectra
+from one stacked eigensolve when the sides agree, and the gradient from one
+adjoint over both logs.  The optimizer reports certified lower bounds only:
+the value returned is the best coherent information actually evaluated,
+never an optimality claim.  Upper bounds come from the proven claims
+exercised by the verification suites (``verify``), not from optimization.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .channel import BeamSplitterChannel
-from .linalg import shannon_entropy, von_neumann_entropy
+from .linalg import shannon_entropy, von_neumann_entropies, von_neumann_entropy
 from .states import DensityMatrix, preset_state, random_density_matrix
 from .weyl import BSParams
 
@@ -25,41 +27,49 @@ LOG_FLOOR = 1e-300  # eigenvalues are floored here inside the gradient's log2
 
 
 def _ic_matrix_fn(chan: BeamSplitterChannel):
-    """Coherent-information evaluator on raw matrices, built once per channel.
+    """Coherent-information evaluator on raw matrices over the channel's
+    cached kernel; cheap to build, as it holds that kernel only.
 
     I_c = S(N(rho)) - S(N^c(rho)), with the complement landing on E x E',
-    where E' purifies the environment (``purified_complement``).  Reference,
-    output, E and E' then share a pure state, so the entropy difference is the
-    coherent information for every environment, and both maps are linear in
-    rho.
+    where E' purifies the environment.  Reference, output, E and E' then
+    share a pure state, so the entropy difference is the coherent
+    information for every environment, and both maps are linear in rho.
+
+    Both maps are the two blocks of the channel's ``coherent_multiplier``:
+    one input DFT, one product and one inverse DFT give both outputs.  With
+    a pure environment the outputs have equal sides and share one stacked
+    eigensolve; otherwise each side has its own.
 
     ``ic(m)`` takes eigenvalues only.  ``ic(m, grad=True)`` returns
     ``(I_c, A)`` with dI_c = Tr(A dm) for Hermitian dm:
 
-        A = -N^dag(log2 N(m)) + N^c^dag(log2 N^c(m)).
+        A = -N^dag(log2 N(m)) + N^c^dag(log2 N^c(m)),
 
-    The 1/ln 2 terms of the two entropy derivatives cancel because both maps
-    preserve the trace; both adjoints are Weyl-multiplier adjoints.
+    one multiplier adjoint over both logs.  The 1/ln 2 terms of the two
+    entropy derivatives cancel because both maps preserve the trace.
     """
-    forward, complement = chan.multiplier, chan.purified_complement
+    kernel = chan.coherent_multiplier
 
     def ic(m: np.ndarray, grad: bool = False):
-        out = chan.apply_matrix(m)
+        stacks = kernel.images(m)  # [N(m), N^c(m)] as one stack or two
         if not grad:
-            return von_neumann_entropy(out) - von_neumann_entropy(complement(m))
-        s_out, log_out = _entropy_and_log(out)
-        s_comp, log_comp = _entropy_and_log(complement(m))
-        return s_out - s_comp, complement.adjoint(log_comp) - forward.adjoint(log_out)
+            h = np.concatenate([von_neumann_entropies(x) for x in stacks])
+            return float(h[0] - h[1])
+        entropies, logs = zip(*(_entropy_and_log(x) for x in stacks))
+        h = np.concatenate(entropies)
+        logs[0][0] *= -1.0  # the sign of N^dag(log2 N(m)) in A
+        return float(h[0] - h[1]), kernel.adjoint(*logs)
 
     return ic
 
 
-def _entropy_and_log(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Entropy in bits and log2 of a density matrix, eigenvalues floored at
-    ``LOG_FLOOR`` inside the logarithm."""
+def _entropy_and_log(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy in bits and log2 of a density matrix, or of each matrix in a
+    stack, eigenvalues floored at ``LOG_FLOOR`` inside the logarithm."""
     vals, vecs = np.linalg.eigh(m)
     logs = np.log2(np.maximum(vals, LOG_FLOOR))
-    return shannon_entropy(np.clip(vals, 0.0, None)), (vecs * logs) @ vecs.conj().T
+    entropy = -(np.maximum(vals, 0.0) * logs).sum(axis=-1)  # eigenvalues at or below 0 add nothing
+    return entropy, (vecs * logs[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def coherent_information(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:
@@ -140,7 +150,9 @@ def _objective(chan: BeamSplitterChannel):
     2 Im(B G).  Returns ``(ic_of_matrix, value_and_grad, to_vector, to_state)``.
     """
     dim = chan.params.dim
-    ic_of_matrix = chan.ic_evaluator
+    # a fresh evaluator per run over the channel's cached kernel: cheap, and a
+    # wrapped ``_ic_matrix_fn`` then sees every evaluation of this run
+    ic_of_matrix = _ic_matrix_fn(chan)
 
     def to_matrix(x: np.ndarray) -> np.ndarray:
         return x[: dim * dim].reshape(dim, dim) + 1j * x[dim * dim :].reshape(dim, dim)

@@ -9,10 +9,13 @@ On characteristic tables the channel is a multiplication (the beam
 splitter's convolution-multiplication duality), Xi_out(x) = Xi_rho(s x)
 Xi_sigma(t x), and the complement is Xi_rho(-t x) Xi_sigma(s x).  So both
 maps and their adjoints are ``WeylMultiplier``s: dim^3 DFT products, never
-the dim^4 joint state.  Choi matrices and other reference/output states use
-the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k] of the environment
-purified as sigma = P P^dag (``stinespring_amplitudes``), where
-|I[a, b], J[a, b]> is the preimage of |a, b>.
+the dim^4 joint state.  For the coherent information the channel and its
+complement onto the traced register and the environment purifier run as
+the two blocks of one multiplier (``coherent_multiplier``).  Choi matrices
+and other reference/output states use the Stinespring amplitudes
+psi[r, I[a, b]] * P[J[a, b], k] of the environment purified as
+sigma = P P^dag (``stinespring_amplitudes``), where |I[a, b], J[a, b]> is
+the preimage of |a, b>.
 
 The symmetry identities (``complement_identity_check``,
 ``degradation_witness``) post-process Choi matrices by the parity and by
@@ -23,7 +26,6 @@ dense product.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -148,32 +150,47 @@ class BeamSplitterChannel:
     def ic_evaluator(self):
         """The channel's coherent-information evaluator on raw matrices
         (``capacity._ic_matrix_fn``), built on first use and kept.  It holds
-        the channel through a weak proxy, so caching it here makes no
-        reference cycle and a dropped channel is freed at once."""
+        arrays only, never the channel, so caching it here makes no reference
+        cycle and a dropped channel is freed at once."""
         from .capacity import _ic_matrix_fn  # capacity imports this module
 
-        return _ic_matrix_fn(weakref.proxy(self))
+        return _ic_matrix_fn(self)
 
     @cached_property
     def multiplier(self) -> WeylMultiplier:
         """The channel as a Weyl multiplier, Xi_rho(s x) Xi_sigma(t x)."""
-        return WeylMultiplier.of(self.params, self.bsparams.s, self.environment.matrix, self.bsparams.t)
+        b = self.bsparams
+        return WeylMultiplier.of(self.params, [(b.s, self.environment.matrix, b.t, 1)])
 
     @cached_property
     def complement_multiplier(self) -> WeylMultiplier:
         """The complement as a Weyl multiplier, Xi_rho(-t x) Xi_sigma(s x)."""
-        return WeylMultiplier.of(self.params, -self.bsparams.t, self.environment.matrix, self.bsparams.s)
+        b = self.bsparams
+        return WeylMultiplier.of(self.params, [(-b.t, self.environment.matrix, b.s, 1)])
 
-    @cached_property
-    def purified_complement(self) -> WeylMultiplier:
-        """The complement onto E x E' (traced output, environment purifier),
-        [(e, k), (f, l)]: block (k, l) has p_k p_l^dag, p_k column k of
-        ``purifier``, for sigma.  A side dim * rank above ``MAX_SIDE`` raises
-        ValueError before the large arrays are built."""
+    def _purified_block(self) -> tuple:
+        """The complement onto E x E' (traced output, environment purifier) as
+        a multiplier block, [(e, k), (f, l)]: block (k, l) has p_k p_l^dag,
+        p_k column k of ``purifier``, for sigma.  A side dim * rank above
+        ``MAX_SIDE`` raises ValueError before the large arrays are built."""
         dim, rank = self.purifier.shape
         check_side(dim, rank, 2 * (dim * rank) ** 2)
         vec = self.purifier.reshape(-1)
-        return WeylMultiplier.of(self.params, -self.bsparams.t, np.outer(vec, vec.conj()), self.bsparams.s, rank)
+        return (-self.bsparams.t, np.outer(vec, vec.conj()), self.bsparams.s, rank)
+
+    @cached_property
+    def purified_complement(self) -> WeylMultiplier:
+        """The E x E' complement alone, as a one-block multiplier; its image
+        is bit for bit the second block of ``coherent_multiplier``."""
+        return WeylMultiplier.of(self.params, [self._purified_block()])
+
+    @cached_property
+    def coherent_multiplier(self) -> WeylMultiplier:
+        """The channel and the E x E' complement as one two-block multiplier,
+        the pair of maps whose output entropies give the coherent
+        information: one input DFT and one product make both images."""
+        b = self.bsparams
+        return WeylMultiplier.of(self.params, [(b.s, self.environment.matrix, b.t, 1), self._purified_block()])
 
     def apply_matrix(self, rho_matrix: np.ndarray, complement: bool = False) -> np.ndarray:
         """Channel action on a raw matrix; no state validation (hot path)."""

@@ -83,18 +83,23 @@ def shannon_entropy(probs) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of a density matrix, with 0*log(0) = 0.
+def von_neumann_entropies(matrices: np.ndarray) -> np.ndarray:
+    """Entropy in bits of a density matrix, or of each matrix in a stack,
+    from one eigensolve, with 0*log(0) = 0.
 
     Raises ValueError when an eigenvalue falls below ``-NEGATIVE_EIG_TOL``.
-    Called twice per coherent-information evaluation, so it does nothing
-    beyond the eigensolve and one sum.
     """
-    vals = np.linalg.eigvalsh(as_matrix(rho))  # ascending
-    if vals[0] < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
-    vals = vals[vals > 0.0]
-    return float(-np.sum(vals * np.log2(vals)))
+    vals = np.linalg.eigvalsh(matrices)  # ascending
+    low = float(vals[..., 0].min())
+    if low < -NEGATIVE_EIG_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+    pos = np.where(vals > 0.0, vals, 1.0)  # eigenvalues at or below 0 add nothing
+    return -(pos * np.log2(pos)).sum(axis=-1)
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy in bits of one density matrix (``von_neumann_entropies``)."""
+    return float(von_neumann_entropies(as_matrix(rho)))
 
 
 def _support_split(sigma_matrix: np.ndarray):

@@ -22,7 +22,8 @@ product with the cached DFT matrix.  The inverse transform runs the inverse
 DFT and gathers the diagonals back into a matrix; the Wigner table is the
 symplectic Fourier transform of Xi, two more DFT products.
 
-``WeylMultiplier`` puts a product Xi_in(a x) Xi_E(b x) between the halves.
+``WeylMultiplier`` puts products Xi_in(a_i x) Xi_{E_i}(b_i x) between the
+halves, one per block, all blocks from one forward DFT.
 
 Weyl operators, the parity |k> -> |-k> and their products are monomial: a
 row permutation with one phase per column.  The library applies them in
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import groupby
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,50 +215,33 @@ def _dft_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 @lru_cache(maxsize=None)
-def _block_indices(d: int, n: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gathers, over runs of ``rank`` entries, between a (dim * rank)^2 block
-    matrix [(e, k), (f, l)] and its blocks' shifted diagonals [j, (q, k, l)]:
-    entry (e, f) of block (k, l) lies on diagonal q = e - f at j = f.
-    Returns (to_diagonals[j, q, k], to_matrix[e, k, f]); read-only."""
+def _diagonal_indices(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gathers between a dim x dim matrix and its shifted diagonals D[j, q]:
+    entry (e, f) lies on diagonal q = e - f at j = f.  Returns
+    (to_diagonals[j, q], to_matrix[e, f]), flat indices; read-only."""
     add = _dft_tables(d, n)[0]
-    dim, k, j = d**n, np.arange(rank), np.arange(d**n)
+    dim, j = d**n, np.arange(d**n)
     sub = add[:, scale_indices(d, n, -1)]  # sub[e, f] = enc(e - f)
-    to_diagonals = ((add * rank)[:, :, None] + k) * dim + j[:, None, None]
-    to_matrix = (j * dim + sub)[:, None, :] * rank + k[:, None]
+    to_diagonals, to_matrix = add * dim + j[:, None], j * dim + sub
     to_diagonals.flags.writeable = to_matrix.flags.writeable = False
     return to_diagonals, to_matrix
 
 
-def _shifted_diagonals(params: QuditParams, m: np.ndarray, rank: int = 1) -> np.ndarray:
-    """D[j, (q, k, l)] = block (k, l) of m at (j + q, j), shape (dim, dim * rank^2)."""
-    to_diagonals, _ = _block_indices(params.d, params.n, rank)
-    return m.reshape(-1, rank).take(to_diagonals, axis=0).reshape(params.dim, -1)
+def _from_shifted_diagonals(params: QuditParams, diagonals: np.ndarray) -> np.ndarray:
+    """The dim x dim matrix with these shifted diagonals."""
+    return diagonals.take(_diagonal_indices(params.d, params.n)[1])
 
 
-def _from_shifted_diagonals(params: QuditParams, diagonals: np.ndarray, rank: int = 1) -> np.ndarray:
-    """The (dim * rank)^2 block matrix with these shifted diagonals."""
-    _, to_matrix = _block_indices(params.d, params.n, rank)
-    side = params.dim * rank
-    return diagonals.reshape(-1, rank).take(to_matrix, axis=0).reshape(side, side)
-
-
-@lru_cache(maxsize=None)
-def _scaled_transform(d: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(dft_k, gather_k, read_k): ``dft_k @ m.take(gather_k)`` is the DFT of
-    the shifted diagonals of a dim x dim m (its table without the twist) read
-    at k x, and ``read_k`` the ``np.ix_`` read of a table at k x; read-only."""
-    idx = scale_indices(d, n, k)
-    gather = _block_indices(d, n, 1)[0].reshape(d**n, d**n)[:, idx]
-    gather.flags.writeable = False
-    return _dft_tables(d, n)[1][idx], gather, np.ix_(idx, idx)
+def _raw_table(params: QuditParams, m: np.ndarray) -> np.ndarray:
+    """sum_j w^{-p.j} m[j + q, j]: for each shift q, one DFT of the q-th
+    shifted diagonal of m (its characteristic table without the twist)."""
+    return _dft_tables(params.d, params.n)[1] @ np.asarray(m).take(_diagonal_indices(params.d, params.n)[0])
 
 
 def _characteristic_values(params: QuditParams, m: np.ndarray) -> np.ndarray:
-    """Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j + q, j]: for each shift q,
-    one DFT of the q-th shifted diagonal of rho."""
+    """Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j + q, j]."""
     params.require_odd()
-    dft, gather, _ = _scaled_transform(params.d, params.n, 1)
-    return _dft_tables(params.d, params.n)[2] * (dft @ m.take(gather))
+    return _dft_tables(params.d, params.n)[2] * _raw_table(params, m)
 
 
 def characteristic_function(rho) -> CharacteristicTable:
@@ -277,49 +262,136 @@ def inverse_weyl_transform(table: CharacteristicTable) -> np.ndarray:
     return _from_shifted_diagonals(params, idft @ (twist.conj() * table.values) / params.dim)
 
 
+class _Group(NamedTuple):
+    """A run of ``count`` blocks of equal ``rank`` in a ``WeylMultiplier``.
+
+    The group holds entries [start, stop) of the flat buffer of shifted
+    diagonals (and of the symbol), in which block c has D_c[j, (q, k, l)] of
+    shape (dim, dim rank^2).  ``read`` gives, per entry (c, p, q), the flat
+    index of (a_c p, a_c q) in a dim x dim table, a_c the block's scale; it
+    is a column for rank > 1, to broadcast over (k, l).  ``runs[(c, e, k,
+    f)]`` is the run of ``rank`` entries of the buffer that holds entries
+    [(e, k), (f, l)], l = 0..rank-1, of image c: entry (e, f) of block
+    (k, l) lies on diagonal q = e - f at j = f.
+    """
+
+    count: int
+    rank: int
+    start: int
+    stop: int
+    read: np.ndarray
+    runs: np.ndarray
+
+
+def _rows(a: np.ndarray, width: int) -> np.ndarray:
+    """A flat array as rows of ``width`` entries; left flat for width 1, so
+    that rank-one groups index plain vectors."""
+    return a if width == 1 else a.reshape(-1, width)
+
+
+@lru_cache(maxsize=None)
+def _stack_groups(d: int, n: int, scales: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[_Group, ...]:
+    """The runs of blocks of equal rank of a ``WeylMultiplier``; each group's
+    DFTs are one batched product, so every block gets the very products a
+    one-block multiplier makes.  Arrays read-only; the indices hold
+    count dim^2 rank entries, not one per image entry."""
+    dim, to_matrix = d**n, _diagonal_indices(d, n)[1]
+    groups, start, first = [], 0, 0
+    for r, run in groupby(ranks):
+        count = len(list(run))
+        idx = [scale_indices(d, n, a) for a in scales[first : first + count]]
+        read = np.concatenate([(i[:, None] * dim + i).reshape(-1) for i in idx])
+        runs = (np.arange(count) * dim * dim * r)[:, None, None, None] + (to_matrix * r)[None, :, None, :]
+        runs = (runs + np.arange(r)[None, None, :, None]).reshape(-1)
+        read.flags.writeable = runs.flags.writeable = False
+        read = read if r == 1 else read[:, None]
+        groups.append(_Group(count, r, start, start + count * dim * dim * r * r, read, runs))
+        start, first = groups[-1].stop, first + count
+    return tuple(groups)
+
+
+def _group_products(groups: tuple[_Group, ...], dim: int, matrix: np.ndarray, images: np.ndarray):
+    """(group, matrix @ D) for each group, with D the group's shifted
+    diagonals, (count, dim, dim rank^2), of ``images``: the images of all
+    blocks, concatenated flat in block order."""
+    for g in groups:
+        diagonals = np.empty(g.stop - g.start, dtype=complex)
+        _rows(diagonals, g.rank)[g.runs] = _rows(images[g.start : g.stop], g.rank)
+        yield g, matrix @ diagonals.reshape(g.count, dim, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class WeylMultiplier:
-    """X -> Y with Xi_Y(x) = Xi_X(a x) Xi_E(b x) for a fixed E, and its
-    adjoint under <X, Y> = Tr(X^dag Y); for a block matrix E over H x C^rank,
-    block (k, l) of Y has table Xi_X(a x) Xi_{E_kl}(b x).  Both run on shifted
-    diagonals: DFT, read at a, product with ``symbol[p, q, (k, l)]`` (the
-    Xi_{E_kl}(b x) with both transforms' phases and 1/dim folded in), inverse
-    DFT."""
+    """X -> (Y_1, Y_2, ...), one image per block i, with Xi_{Y_i}(x) =
+    Xi_X(a_i x) Xi_{E_i}(b_i x) for fixed E_i, and its adjoint under
+    <X, Y> = Tr(X^dag Y).  For a block matrix E_i over H x C^r_i, block
+    (k, l) of Y_i has table Xi_X(a_i x) Xi_{E_i,kl}(b_i x).
+
+    One kernel serves all blocks: one DFT of X's shifted diagonals, a read
+    of that table at a_i x for every block, the product with the symbol
+    (every block's Xi_{E_i,kl}(b_i x), with both transforms' phases and
+    1/dim folded in), the inverse DFT and the gather into the images, the
+    last three once per group of equal rank.  The adjoint runs the same steps
+    backwards on all images at once.  A single map is the one-block case.
+    ``symbols`` holds one view per group, rows of rank^2 entries, of one
+    array.
+    """
 
     params: QuditParams
-    scale: int
-    rank: int
-    symbol: np.ndarray
+    groups: tuple[_Group, ...]
+    symbols: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, params: QuditParams, scale: int, env: np.ndarray, env_scale: int, rank: int = 1) -> "WeylMultiplier":
+    def of(cls, params: QuditParams, blocks) -> "WeylMultiplier":
+        """Blocks (a, E, b, r): input scale, environment block matrix over
+        H x C^r and its scale.  The environments' DFT is one batched product
+        per group."""
         params.require_odd()
         d, n, dim = params.d, params.n, params.dim
+        groups = _stack_groups(d, n, tuple(a % d for a, _, _, _ in blocks), tuple(r for _, _, _, r in blocks))
         _, dft, twist, _ = _dft_tables(d, n)
-        raw = (dft @ _shifted_diagonals(params, np.asarray(env, dtype=complex), rank)).reshape(dim, dim, -1)
-        symbol = raw[_scaled_transform(d, n, env_scale)[2]]
-        # twist(k x) = twist^(k^2): the phases twist(b x) conj(twist(x)) twist(a x)
-        symbol *= (twist ** ((scale**2 + env_scale**2 - 1) % d) / dim)[:, :, None]
+        envs = np.concatenate([np.asarray(env, dtype=complex) for _, env, _, _ in blocks], axis=None)
+        raws = [raw for g, group in _group_products(groups, dim, dft, envs) for raw in group.reshape(g.count, dim, dim, -1)]
+        parts = []
+        for (a, _, b, _), raw in zip(blocks, raws):
+            idx = scale_indices(d, n, b)
+            # twist(k x) = twist^(k^2): the phases twist(b x) conj(twist(x)) twist(a x)
+            parts.append(raw[idx[:, None], idx] * (twist ** ((a**2 + b**2 - 1) % d) / dim)[:, :, None])
+        symbol = np.concatenate(parts, axis=None)
         symbol.flags.writeable = False
-        return cls(params, scale, rank, symbol)
+        return cls(params, groups, tuple(_rows(symbol[g.start : g.stop], g.rank**2) for g in groups))
+
+    def images(self, m: np.ndarray) -> list[np.ndarray]:
+        """The images of a dim x dim X, as one (count, side, side) stack per
+        group."""
+        p = self.params
+        dim, idft, table = p.dim, _dft_tables(p.d, p.n)[3], _raw_table(p, m)
+        out = []
+        for g, symbol in zip(self.groups, self.symbols):
+            diagonals = (idft @ (table.take(g.read) * symbol).reshape(g.count, dim, -1)).reshape(-1)
+            out.append(_rows(diagonals, g.rank).take(g.runs, axis=0).reshape(g.count, dim * g.rank, -1))
+        return out
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
-        """Y for a dim x dim matrix X."""
-        p = self.params
-        dft, gather, _ = _scaled_transform(p.d, p.n, self.scale)
-        table = dft @ np.asarray(m).take(gather)
-        diagonals = _dft_tables(p.d, p.n)[3] @ (table[:, :, None] * self.symbol).reshape(p.dim, -1)
-        return _from_shifted_diagonals(p, diagonals, self.rank)
+        """Y for a dim x dim X; one-block multipliers only."""
+        ((image,),) = self.images(m)
+        return image
 
-    def adjoint(self, m: np.ndarray) -> np.ndarray:
-        """The dim x dim image of a (dim * rank)^2 matrix; the read at a turns
-        into a read at x / a, or into a sum into x = 0 for a = 0 mod d."""
+    def adjoint(self, *images: np.ndarray) -> np.ndarray:
+        """sum_i N_i^dag(images[i]), a dim x dim matrix, for images in block
+        order given as matrices or stacks."""
         p = self.params
         _, dft, _, idft = _dft_tables(p.d, p.n)
-        raw = (dft @ _shifted_diagonals(p, m, self.rank)).reshape(self.symbol.shape)
-        table = np.zeros((p.dim, p.dim), dtype=complex)
-        np.add.at(table, _scaled_transform(p.d, p.n, self.scale)[2], np.einsum("pqb,pqb->pq", raw, self.symbol.conj()))
-        return _from_shifted_diagonals(p, idft @ table)
+        table = np.zeros(p.dim * p.dim, dtype=complex)
+        products = _group_products(self.groups, p.dim, dft, np.concatenate(images, axis=None))
+        for (g, raw), symbol in zip(products, self.symbols):
+            values = raw.reshape(symbol.shape) * symbol.conj()
+            if g.rank > 1:
+                values = values.sum(axis=1, keepdims=True)  # over (k, l)
+            # block c's table at x adds onto a_c x: a permutation of the
+            # points for a_c != 0 mod d, all of them onto x = 0 for a_c = 0
+            np.add.at(table, g.read, values)
+        return _from_shifted_diagonals(p, idft @ table.reshape(p.dim, p.dim))
 
 
 def wigner_function(rho) -> np.ndarray:

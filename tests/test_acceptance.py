@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qmc.capacity import (
     OptimizerBudget,
@@ -19,20 +18,13 @@ from qmc.capacity import (
     qcap_one_shot,
 )
 from qmc.channel import BeamSplitterChannel, complement_identity_check, degradation_witness
-from qmc.coding import (
-    entanglement_fidelity,
-    fidelity_ratio_bound_check,
-    magic_code_construction,
-    stabilizer_ceiling_search,
-    stabilizer_code_construction,
-)
-from qmc.magic import mrm, mrm_inf_certificate
+from qmc.coding import fidelity_ratio_bound_check
+from qmc.magic import mrm_inf_certificate
 from qmc.states import (
     preset_state,
     pure_stabilizer_projectors,
     random_density_matrix,
     random_pure_state,
-    stabilizer_family,
 )
 from qmc.verify import VerifyConfig, coding_suite, lemma_suite, run_suite
 from qmc.weyl import BSParams, QuditParams

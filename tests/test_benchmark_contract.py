@@ -72,3 +72,6 @@ def test_capacity_result_line_is_strict_json_with_finite_metrics(trace):
     if trace:
         # scipy.optimize is imported on first use; the tracer must still see minimize
         assert metrics["capacity.minimize.nfev"]["value"] > 0
+        # every optimizer evaluation goes through the evaluator that the
+        # ``_ic_matrix_fn`` factory returns, so the tracer must count each one
+        assert metrics["capacity.ic.calls"]["value"] >= metrics["capacity.minimize.nfev"]["value"]

@@ -1,13 +1,14 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qmc.capacity import (
-    CapacityWitness,
     OptimizerBudget,
     _objective,
     capacity_witness_construction,
@@ -17,16 +18,21 @@ from qmc.capacity import (
 )
 from qmc.channel import BeamSplitterChannel
 from qmc.states import (
-    DensityMatrix,
     preset_state,
     random_density_matrix,
     random_pure_state,
     stabilizer_family,
 )
 from qmc.verify import VerifyConfig, run_suite
-from qmc.weyl import BSParams, QuditParams
+from qmc.weyl import BSParams, QuditParams, valid_st_pairs
 
-from oracles import ic_gradient_fd
+from oracles import (
+    gather_sum,
+    gather_sum_adjoint,
+    ic_gradient_fd,
+    purified_gather_sum,
+    purified_gather_sum_adjoint,
+)
 
 P7 = QuditParams(7)
 BS72 = BSParams(P7, 2, 2)
@@ -179,6 +185,131 @@ class TestGradient:
             assert value == pytest.approx(ic_of_matrix(to_state(x)), abs=1e-12)
             reference = ic_gradient_fd(lambda y: ic_of_matrix(to_state(y)), x)
             assert np.max(np.abs(grad - reference)) <= 1e-6
+
+
+def oracle_images(chan, rho):
+    """(channel output, E x E' complement output) by the gather oracles."""
+    (i, j), (ic, jc) = chan.gather_indices(), chan.gather_indices(complement=True)
+    return gather_sum(rho, chan.environment.matrix, i, j), purified_gather_sum(rho, chan.purifier, ic, jc)
+
+
+def oracle_adjoint(chan, out_probe, comp_probe):
+    """N^dag(out_probe) + N^c^dag(comp_probe) by the gather oracles."""
+    (i, j), (ic, jc) = chan.gather_indices(), chan.gather_indices(complement=True)
+    return gather_sum_adjoint(out_probe, chan.environment.matrix, i, j) + purified_gather_sum_adjoint(
+        comp_probe, chan.purifier, ic, jc
+    )
+
+
+def dense_entropy(m):
+    vals = np.linalg.eigvalsh(m)
+    vals = vals[vals > 0]
+    return float(-np.sum(vals * np.log2(vals)))
+
+
+def dense_log2(m):
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.log2(np.maximum(vals, 1e-300))) @ vecs.conj().T
+
+
+def random_hermitian(dim, rng):
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (h + h.conj().T) / 2
+
+
+class TestFusedKernel:
+    """The two-block multiplier behind the evaluator (channel and E x E'
+    complement from one input DFT) against the independent gather oracles
+    and a dense eigensolve."""
+
+    @pytest.mark.parametrize("env_rank", [1, 3, 7])
+    @pytest.mark.parametrize("st", [(bs.s, bs.t) for bs in valid_st_pairs(P7)], ids=lambda st: f"s{st[0]}t{st[1]}")
+    def test_images_and_adjoint_match_oracles(self, rng, st, env_rank):
+        # every valid pair, the trivial ones (a scale of 0, read by a sum) too
+        chan = channel(BSParams(P7, *st), random_density_matrix(P7, rng, rank=env_rank))
+        kernel = chan.coherent_multiplier
+        rho = random_density_matrix(P7, rng).matrix
+        images = [image for stack in kernel.images(rho) for image in stack]
+        expected = oracle_images(chan, rho)
+        assert len(images) == 2
+        for image, oracle in zip(images, expected):
+            assert np.max(np.abs(image - oracle)) <= 1e-12
+        probes = [random_hermitian(side, rng) for side in (7, 7 * env_rank)]
+        assert np.max(np.abs(kernel.adjoint(*probes) - oracle_adjoint(chan, *probes))) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "bs",
+        [BSParams(QuditParams(5), 1, 0), BS72, BSParams(QuditParams(11), 3, 5), BS13],
+        ids=["d5", "d7", "d11", "d13"],
+    )
+    @pytest.mark.parametrize("env_rank", ["1", "2", "d"])
+    def test_values_match_dense_oracle(self, rng, bs, env_rank):
+        dim = bs.params.dim
+        env = random_density_matrix(bs.params, rng, rank=dim if env_rank == "d" else int(env_rank))
+        chan = channel(bs, env)
+        for rho in (random_density_matrix(bs.params, rng), random_pure_state(bs.params, rng)):
+            out, comp = oracle_images(chan, rho.matrix)
+            assert abs(coherent_information(chan, rho) - (dense_entropy(out) - dense_entropy(comp))) <= 1e-12
+
+    def test_value_matches_dense_oracle_two_qudits(self, rng):
+        # d = 7, n = 2 with a pure product environment: both sides are 49 wide
+        env = random_pure_state(P7, rng)
+        chan = BeamSplitterChannel(BSParams(QuditParams(7, 2), 2, 2), env.tensor(env))
+        rho = random_density_matrix(QuditParams(7, 2), rng)
+        out, comp = oracle_images(chan, rho.matrix)
+        assert abs(coherent_information(chan, rho) - (dense_entropy(out) - dense_entropy(comp))) <= 1e-12
+
+    @pytest.mark.parametrize("env_rank", [1, 3, 7])
+    def test_gradient_matches_oracle_adjoints_and_differences(self, rng, env_rank):
+        chan = channel(BS72, random_density_matrix(P7, rng, rank=env_rank))
+        rho = random_density_matrix(P7, rng).matrix
+        value, grad = chan.ic_evaluator(rho, grad=True)
+        out, comp = oracle_images(chan, rho)
+        log_out, log_comp = dense_log2(out), dense_log2(comp)
+        expected = oracle_adjoint(chan, -log_out, log_comp)
+        assert value == pytest.approx(dense_entropy(out) - dense_entropy(comp), abs=1e-12)
+        assert np.max(np.abs(grad - expected)) <= 1e-10 * max(np.max(np.abs(log_out)), np.max(np.abs(log_comp)))
+        # dI_c = Tr(A dm) along Hermitian traceless directions
+        directions = [random_hermitian(7, rng) for _ in range(6)]
+        directions = [h - np.trace(h) / 7 * np.eye(7) for h in directions]
+        reference = ic_gradient_fd(lambda x: chan.ic_evaluator(rho + sum(c * h for c, h in zip(x, directions))), np.zeros(6))
+        assert np.max(np.abs([np.sum(grad * h.T).real for h in directions] - reference)) <= 1e-6
+
+    def test_pure_environment_uses_one_stacked_eigensolve(self, rng, monkeypatch):
+        chan = channel(BS72, random_pure_state(P7, rng))
+        rho = random_density_matrix(P7, rng).matrix
+        chan.ic_evaluator(rho, grad=True)  # builds the purifier (one eigh) and the kernel
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(BeamSplitterChannel, "apply_matrix", counting("apply_matrix", BeamSplitterChannel.apply_matrix))
+        chan.ic_evaluator(rho)
+        assert calls == ["eigvalsh"]
+        calls.clear()
+        chan.ic_evaluator(rho, grad=True)
+        assert calls == ["eigh"]
+
+    @pytest.mark.parametrize("env_rank", [1, 3])
+    def test_negative_eigenvalue_named(self, rng, env_rank):
+        # a Hermitian, trace-one input that is not a state: some output has an
+        # eigenvalue below -NEGATIVE_EIG_TOL, and the value path says which
+        chan = channel(BS72, random_density_matrix(P7, rng, rank=env_rank))
+        m = np.zeros((7, 7), dtype=complex)
+        m[0, 0], m[1, 1] = 2.0, -1.0
+        lows = [float(np.linalg.eigvalsh(image)[0]) for image in oracle_images(chan, m)]
+        assert min(lows) < -1e-9
+        with pytest.raises(ValueError, match="density matrix has negative eigenvalue") as info:
+            coherent_information(chan, SimpleNamespace(matrix=m))
+        reported = float(re.search(r"eigenvalue (\S+)$", str(info.value)).group(1))
+        assert any(low < -1e-9 and reported == pytest.approx(low, rel=1e-2) for low in lows)
 
 
 class TestWitnessConstruction:

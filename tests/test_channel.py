@@ -18,7 +18,7 @@ from qmc.channel import (
     iterate_convolution,
     phase_inversion,
 )
-from qmc.linalg import frobenius_distance, partial_trace, von_neumann_entropy
+from qmc.linalg import frobenius_distance, von_neumann_entropy
 from qmc.states import (
     DensityMatrix,
     preset_state,

@@ -21,7 +21,6 @@ from qmc.coding import (
     stabilizer_ceiling_search,
     stabilizer_code_construction,
 )
-from qmc.magic import mrm_inf
 from qmc.states import (
     DensityMatrix,
     StabilizerFamily,

@@ -17,7 +17,6 @@ from qmc.magic import (
     wigner_negativity,
 )
 from qmc.states import (
-    DensityMatrix,
     mean_state,
     preset_state,
     pure_stabilizer_projectors,

@@ -1,6 +1,3 @@
-import json
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +13,6 @@ from qmc.states import (
     read_state,
     stabilizer_family,
     state_from_payload,
-    state_to_payload,
     write_state,
 )
 from qmc.weyl import QuditParams, BSParams, WeylIndex, characteristic_function, weyl_operator, wigner_function

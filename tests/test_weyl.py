@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from types import SimpleNamespace
 
