@@ -28,7 +28,7 @@ from .states import (
 )
 from .channel import (
     BeamSplitterChannel,
-    ChoiMatrix,
+    ChoiTable,
     complement_identity_check,
     convolve,
     convolve_complement,

@@ -11,17 +11,16 @@ Xi_sigma(t x), and the complement is Xi_rho(-t x) Xi_sigma(s x).  So both
 maps and their adjoints are ``WeylMultiplier``s: dim^3 DFT products, never
 the dim^4 joint state.  For the coherent information the channel and its
 complement onto the traced register and the environment purifier run as
-the two blocks of one multiplier (``coherent_multiplier``).  Choi matrices
-and other reference/output states use the Stinespring amplitudes
-psi[r, I[a, b]] * P[J[a, b], k] of the environment purified as
-sigma = P P^dag (``stinespring_amplitudes``), where |I[a, b], J[a, b]> is
-the preimage of |a, b>.
+the two blocks of one multiplier (``coherent_multiplier``).  Reference/
+output states use the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k]
+of the environment purified as sigma = P P^dag (``stinespring_amplitudes``),
+where |I[a, b], J[a, b]> is the preimage of |a, b>.
 
-The symmetry identities (``complement_identity_check``,
-``degradation_witness``) post-process Choi matrices by the parity and by
-displacements.  Both are monomial unitaries, applied in their (rows, phases)
-form through ``monomial_conjugate``: a relabel and a phase per entry, no
-dense product.
+Choi matrices are held as their dim^2 Weyl coefficients (``ChoiTable``),
+never as dim^2 x dim^2 matrices; the symmetry identities
+(``complement_identity_check``, ``degradation_witness``) compare such
+tables, with a parity or displacement after the channel as a relabel and a
+phase per coefficient.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import frobenius_distance, partial_trace
-from .states import DensityMatrix, mean_characteristic_table
+from .linalg import frobenius_distance
+from .states import TRACE_TOL, DensityMatrix, mean_characteristic_table
 from .weyl import (
     BSParams,
     CharacteristicTable,
@@ -43,12 +42,12 @@ from .weyl import (
     monomial_conjugate,
     scale_indices,
     weyl_action,
+    _characteristic_values,
+    _dft_tables,
     _digit_table,
     _powers,
 )
 
-CHOI_PSD_TOL = 1e-10
-CHOI_TP_TOL = 1e-10
 CHANNEL_EQ_TOL = 1e-9
 BRANCH_CUTOFF = 1e-14  # environment eigenvalues below this carry no Stinespring branch
 MAX_SIDE = 49 * 49  # largest dense reference/output or E x E' side (the dim-49 product environment)
@@ -225,44 +224,56 @@ class BeamSplitterChannel:
         if rho.params != self.params:
             raise ValueError(f"input layout {rho.params} does not match channel {self.params}")
 
-    def choi(
-        self, complement: bool = False, post_unitary: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> "ChoiMatrix":
-        """Choi matrix of the channel: the reference/output state of the
-        maximally entangled input, indexed [(r, a), (r', a')].  A monomial
-        post-unitary U|a> = phases[a] |rows[a]>, given as (rows, phases),
-        is applied after the channel as 1 x U, with its rows lifted over the
-        reference."""
-        dim = self.params.dim
-        out = self.reference_output(np.eye(dim, dtype=complex) / np.sqrt(dim), complement)
-        if post_unitary is not None:
-            rows, phases = post_unitary
-            lifted = (np.arange(dim)[:, None] * dim + rows).reshape(-1)
-            out = monomial_conjugate(out, lifted, np.tile(phases, dim))
-        return ChoiMatrix(dim, dim, out)
+    def choi(self, complement: bool = False, parity: bool = False, displacement: WeylIndex | None = None) -> "ChoiTable":
+        """Choi table of the channel or its complement, followed by
+        w(displacement) and then the parity when given (``ChoiTable.of``)."""
+        b = self.bsparams
+        a, e = (-b.t, b.s) if complement else (b.s, b.t)
+        return ChoiTable.of(self.params, a, characteristic_function(self.environment).values, e, parity, displacement)
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """(I x channel) applied to the maximally entangled projector."""
+class ChoiTable:
+    """The Choi matrix dim^-2 sum_y coeffs[y] conj(w(x_y)) x w(y), one term
+    per output label y = (p, q) at [enc(p), enc(q)] as in
+    ``CharacteristicTable``, with ``labels[y]`` = enc(p') dim + enc(q') for
+    x_y = (p', q').  Tr_out J = I/dim needs the origin's term to be 1 x 1
+    with coefficient Tr sigma = 1; the table is rejected beyond ``TRACE_TOL``."""
 
-    input_dim: int
-    output_dim: int
-    matrix: np.ndarray
+    params: QuditParams
+    labels: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        expected = (self.input_dim * self.output_dim,) * 2
-        if m.shape != expected:
-            raise ValueError(f"Choi shape {m.shape} != {expected}")
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if low < -CHOI_PSD_TOL:
-            raise ValueError(f"Choi matrix has negative eigenvalue {low:.3e}")
-        reduced = partial_trace(m, [self.input_dim, self.output_dim], keep=[0])
-        defect = float(np.max(np.abs(reduced - np.eye(self.input_dim) / self.input_dim)))
-        if defect > CHOI_TP_TOL:
-            raise ValueError(f"Choi reduction misses I/d_in by {defect:.3e}")
+        defect = abs((self.coeffs[0, 0] if self.labels[0, 0] == 0 else 0.0) - 1.0)
+        if defect > TRACE_TOL:
+            raise ValueError(f"Choi table misses Tr sigma = 1 at the origin by {defect:.3e}")
+
+    @classmethod
+    def of(cls, params: QuditParams, a: int, env: np.ndarray, b: int, parity: bool = False,
+           displacement: WeylIndex | None = None) -> "ChoiTable":
+        """The multiplier Xi_in(a y) Xi_E(b y), ``env`` the table of Xi_E,
+        sends w(x) to sum_{a y = x} Xi_E(b y) w(y): term y has label a y and
+        coefficient Xi_E(b y).  w(u) after it puts w^{p_u.q_y - q_u.p_y} on
+        term y; the parity then moves term y to -y, negating a, b and u."""
+        d, n, dim = params.d, params.n, params.dim
+        k = -1 if parity else 1
+        ib, ia = scale_indices(d, n, k * b), scale_indices(d, n, k * a).astype(np.int32)  # labels < 343^2
+        coeffs = env[np.ix_(ib, ib)]
+        if displacement is not None:
+            u, dft = displacement.scale(k, d), _dft_tables(d, n)[1]  # dft[p, j] = w^{-p.j}
+            coeffs *= dft[u.q @ _powers(d, n)][:, None]  # in place, row then column: no dim^2 temporary
+            coeffs *= dft[u.p @ _powers(d, n)].conj()
+        return cls(params, (ia * dim)[:, None] + ia, coeffs)
+
+    def distance(self, other: "ChoiTable") -> float:
+        """Frobenius distance of the Choi matrices.  The conj(w(x)) x w(y) are
+        orthogonal with squared norm dim^2: a term with equal labels on both
+        sides counts |c - c'|^2, one with unequal labels |c|^2 + |c'|^2."""
+        gap = self.coeffs - other.coeffs
+        apart = self.labels != other.labels
+        gap[apart] = np.hypot(np.abs(self.coeffs[apart]), np.abs(other.coeffs[apart]))
+        return float(np.linalg.norm(gap)) / self.params.dim
 
 
 def convolve(bsparams: BSParams, rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
@@ -295,17 +306,6 @@ def iterate_convolution(bsparams: BSParams, rho: DensityMatrix, steps: int) -> l
     return out
 
 
-def phase_inversion(rho: DensityMatrix) -> DensityMatrix:
-    """Conjugation by the parity |k> -> |-k>: a relabel of rows and columns."""
-    neg = scale_indices(rho.params.d, rho.params.n, -1)
-    return DensityMatrix(rho.params, rho.matrix[np.ix_(neg, neg)])
-
-
-def displace(rho: DensityMatrix, x: WeylIndex) -> DensityMatrix:
-    rows, phases = weyl_action(rho.params, x)
-    return DensityMatrix(rho.params, monomial_conjugate(rho.matrix, rows, phases))
-
-
 @dataclass(frozen=True)
 class ChannelIdentityReport:
     description: str
@@ -319,19 +319,17 @@ class ChannelIdentityReport:
 
 def complement_identity_check(bsparams: BSParams, sigma: DensityMatrix) -> ChannelIdentityReport:
     """Certify that the complement equals parity-conjugation after the
-    swapped-weight channel run on the parity-conjugated environment.
-
-    Both sides are compared as Choi matrices in Frobenius norm.
-    """
+    swapped-weight channel run on the parity-conjugated environment, by the
+    distance of their Choi tables."""
     p = bsparams.params
+    neg = scale_indices(p.d, p.n, -1)
+    flipped = _characteristic_values(p, sigma.matrix[np.ix_(neg, neg)])  # the table of P sigma P
+    right = ChoiTable.of(p, bsparams.t, flipped, bsparams.s, parity=True)
+    del flipped  # no more than two tables live at once
     left = BeamSplitterChannel(bsparams, sigma).choi(complement=True)
-    swapped = BSParams(p, bsparams.t, bsparams.s)
-    parity = (scale_indices(p.d, p.n, -1), np.ones(p.dim))
-    right = BeamSplitterChannel(swapped, phase_inversion(sigma)).choi(post_unitary=parity)
-    dist = frobenius_distance(left.matrix, right.matrix)
     return ChannelIdentityReport(
         description="complement vs parity-conjugated swapped-weight channel",
-        frobenius_distance=dist,
+        frobenius_distance=left.distance(right),
         tolerance=CHANNEL_EQ_TOL,
     )
 
@@ -355,8 +353,10 @@ def degradation_witness(
     if bsparams.s % d != bsparams.t % d:
         raise ValueError(f"precondition failed: s={bsparams.s} and t={bsparams.t} differ mod {d}")
     a = displacement if displacement is not None else WeylIndex.zero(p)
-    sigma0 = displace(sigma, a.neg(d))
-    sym_defect = frobenius_distance(phase_inversion(sigma0), sigma0)
+    sigma0 = monomial_conjugate(sigma.matrix, *weyl_action(p, a.neg(d)))  # w(-a) sigma w(-a)^dag
+    neg = scale_indices(d, p.n, -1)
+    sym_defect = frobenius_distance(sigma0[np.ix_(neg, neg)], sigma0)
+    del sigma0  # freed before the tables are built
     if sym_defect > CHANNEL_EQ_TOL:
         raise ValueError(
             "precondition failed: displaced-back environment is not parity symmetric "
@@ -364,12 +364,10 @@ def degradation_witness(
         )
     chan = BeamSplitterChannel(bsparams, sigma)
     left = chan.choi(complement=True)
-    rows, phases = weyl_action(p, a.scale(-2 * bsparams.s, d))
-    neg = scale_indices(d, p.n, -1)
-    right = chan.choi(post_unitary=(neg[rows], phases))  # parity after the displacement
+    right = chan.choi(parity=True, displacement=a.scale(-2 * bsparams.s, d))
     return ChannelIdentityReport(
         description="complement vs parity after a displacement of the channel",
-        frobenius_distance=frobenius_distance(left.matrix, right.matrix),
+        frobenius_distance=left.distance(right),
         tolerance=CHANNEL_EQ_TOL,
     )
 

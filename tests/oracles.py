@@ -8,12 +8,17 @@ the library code paths it checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from qmc.linalg import partial_trace
 from qmc.states import DensityMatrix, StabilizerFamily, StabilizerMember, _materialize_member, preset_state
-from qmc.weyl import QuditParams, WeylIndex, _digit_table, weyl_action
+from qmc.weyl import QuditParams, WeylIndex, _digit_table, monomial_conjugate, weyl_action
+
+CHOI_PSD_TOL = 1e-10
+CHOI_TP_TOL = 1e-10
 
 
 class Spectrum(NamedTuple):
@@ -716,19 +721,85 @@ def covariance_mismatch_loop(d: int, s: int, t: int, label_map) -> int:
     return count
 
 
+def phase_inversion(rho: DensityMatrix) -> DensityMatrix:
+    """Conjugation by the parity |k> -> |-k>: a relabel of rows and columns."""
+    neg = _negation(rho.params)
+    return DensityMatrix(rho.params, rho.matrix[np.ix_(neg, neg)])
+
+
+def displace(rho: DensityMatrix, x: WeylIndex) -> DensityMatrix:
+    """w(x) rho w(x)^dag, with w(x) in its (rows, phases) monomial form."""
+    rows, phases = weyl_action(rho.params, x)
+    return DensityMatrix(rho.params, monomial_conjugate(rho.matrix, rows, phases))
+
+
 def choi_dense(sigma: np.ndarray, unitary: np.ndarray, complement: bool = False, post_unitary=None) -> np.ndarray:
     """Choi matrix [(r, o), (r', o')] of rho -> Tr_2[U (rho x sigma) U^dag]
     (the complement traces out the first register instead), from the dense
     unitary; a dense post-unitary V then conjugates it by kron(1, V)."""
     dim = sigma.shape[0]
-    if complement:
-        swap = np.eye(dim * dim).reshape(dim, dim, dim, dim).transpose(1, 0, 2, 3).reshape(dim * dim, -1)
-        unitary = swap @ unitary
+    if complement:  # swap the output registers: row (a, b) becomes row (b, a)
+        unitary = unitary.reshape(dim, dim, -1).transpose(1, 0, 2).reshape(dim * dim, -1)
     out = reference_output_dense(np.eye(dim) / math.sqrt(dim), sigma, unitary)
     if post_unitary is not None:
         lifted = np.kron(np.eye(dim), post_unitary)
         out = lifted @ out @ lifted.conj().T
     return out
+
+
+@dataclass(frozen=True)
+class ChoiMatrix:
+    """(I x channel) applied to the maximally entangled projector."""
+
+    input_dim: int
+    output_dim: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", m)
+        expected = (self.input_dim * self.output_dim,) * 2
+        if m.shape != expected:
+            raise ValueError(f"Choi shape {m.shape} != {expected}")
+        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+        if low < -CHOI_PSD_TOL:
+            raise ValueError(f"Choi matrix has negative eigenvalue {low:.3e}")
+        reduced = partial_trace(m, [self.input_dim, self.output_dim], keep=[0])
+        defect = float(np.max(np.abs(reduced - np.eye(self.input_dim) / self.input_dim)))
+        if defect > CHOI_TP_TOL:
+            raise ValueError(f"Choi reduction misses I/d_in by {defect:.3e}")
+
+
+def choi_stinespring(chan, complement: bool = False) -> ChoiMatrix:
+    """Choi matrix of a ``BeamSplitterChannel`` as its dense reference/output
+    state of the maximally entangled input, indexed [(r, a), (r', a')]."""
+    dim = chan.params.dim
+    return ChoiMatrix(dim, dim, chan.reference_output(np.eye(dim, dtype=complex) / np.sqrt(dim), complement))
+
+
+def choi_table_dense(table) -> np.ndarray:
+    """The Choi matrix dim^-2 sum_y c_y conj(w(x_y)) x w(y) of a
+    ``ChoiTable``, indexed [(r, a), (r', a')], summed term by term from the
+    ``weyl_dense`` matrices.  Each is monomial, so each Kronecker product is
+    written as its dim^2 nonzero entries."""
+    params = table.params
+    d, dim, digits = params.d, params.dim, _digit_table(params.d, params.n)
+    local = {(p, q): weyl_dense(QuditParams(d), WeylIndex((p,), (q,))) for p in range(d) for q in range(d)}
+
+    def dense(flat: int) -> np.ndarray:  # weyl_dense: the locals' kron, most significant qudit first
+        out = np.eye(1, dtype=complex)
+        for p, q in zip(digits[flat // dim], digits[flat % dim]):
+            out = np.kron(out, local[p, q])
+        return out
+
+    cols = np.arange(dim)
+    pairs = (cols[:, None] * dim + cols).reshape(-1)  # (r', a') -> r' dim + a'
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for y in range(dim * dim):
+        wx, wy = dense(int(table.labels.flat[y])).conj(), dense(y)
+        rx, ry = np.argmax(np.abs(wx), axis=0), np.argmax(np.abs(wy), axis=0)  # the nonzero row of each column
+        out[(rx[:, None] * dim + ry).reshape(-1), pairs] += table.coeffs.flat[y] * np.outer(wx[rx, cols], wy[ry, cols]).reshape(-1)
+    return out / dim**2
 
 
 def fourier_matrix(d: int) -> np.ndarray:

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmc.capacity import _entropy_and_log
+import qmc.channel
+import qmc.linalg
 from qmc.channel import (
     BeamSplitterChannel,
-    ChoiMatrix,
+    ChoiTable,
     beam_splitter_permutation,
     complement_identity_check,
     convolve,
     convolve_complement,
     degradation_witness,
-    displace,
     iterate_convolution,
-    phase_inversion,
 )
 from qmc.linalg import frobenius_distance, von_neumann_entropy
 from qmc.states import (
@@ -31,24 +31,27 @@ from qmc.weyl import (
     QuditParams,
     WeylIndex,
     characteristic_function,
-    scale_indices,
     valid_st_pairs,
-    weyl_action,
     weyl_operator,
     wigner_function,
 )
 from qmc.verify import covariance_mismatches
 
 from oracles import (
+    ChoiMatrix,
     beam_splitter_unitary,
     channel_oracle,
     choi_dense,
     choi_from_kraus,
+    choi_stinespring,
+    choi_table_dense,
     conjugated,
     covariance_mismatch_loop,
+    displace,
     gather_sum,
     gather_sum_adjoint,
     parity_operator,
+    phase_inversion,
     purified_gather_sum,
     purified_gather_sum_adjoint,
     random_clifford,
@@ -343,16 +346,29 @@ class TestIterateConvolution:
 class TestChoi:
     def test_identity_channel_choi_is_entangled_projector(self):
         chan = BeamSplitterChannel(BSParams(P7, 1, 0), preset_state("ket-zero", P7))
-        choi = chan.choi()
+        choi = choi_table_dense(chan.choi())
         phi = np.eye(7, dtype=complex).reshape(-1) / math.sqrt(7)
-        assert frobenius_distance(choi.matrix, np.outer(phi, phi.conj())) <= 1e-12
+        assert frobenius_distance(choi, np.outer(phi, phi.conj())) <= 1e-12
 
     def test_random_environments_are_cptp(self, rng):
         for _ in range(50):
             env = random_density_matrix(P7, rng)
             chan = BeamSplitterChannel(BS72, env)
-            chan.choi()  # constructor validates PSD and trace preservation
-            chan.choi(complement=True)
+            for table in (chan.choi(), chan.choi(complement=True)):
+                # the table's own trace check: the origin term is 1 x 1 with coefficient Tr sigma
+                assert table.labels[0, 0] == 0 and abs(table.coeffs[0, 0] - 1.0) <= 1e-10
+                dense = choi_table_dense(table)
+                assert np.linalg.eigvalsh(dense)[0] >= -1e-10
+                ChoiMatrix(7, 7, dense)  # the dense validator: PSD and trace preservation
+
+    def test_trace_check_rejects_bad_table(self):
+        table = BeamSplitterChannel(BS72, preset_state("symmetric-pm1", P7)).choi()
+        with pytest.raises(ValueError, match="origin"):
+            ChoiTable(P7, table.labels, 2 * table.coeffs)
+        moved = table.labels.copy()
+        moved[0, 0] = 1
+        with pytest.raises(ValueError, match="origin"):
+            ChoiTable(P7, moved, table.coeffs)
 
     def test_complement_matches_stinespring_route(self, rng):
         env = random_pure_state(P7, rng)
@@ -362,12 +378,47 @@ class TestChoi:
         assert np.max(np.abs(v.conj().T @ v - np.eye(7))) <= 1e-12
         kraus = [v.reshape(7, 7, 7)[a] for a in range(7)]  # <a|_out-A blocks on B
         via_kraus = choi_from_kraus(kraus, 7)
-        direct = chan.choi(complement=True)
-        assert frobenius_distance(via_kraus, direct.matrix) <= 1e-11
+        assert frobenius_distance(via_kraus, choi_stinespring(chan, complement=True).matrix) <= 1e-11
+        assert frobenius_distance(via_kraus, choi_table_dense(chan.choi(complement=True))) <= 1e-11
 
     def test_choi_validation_rejects_bad_matrix(self):
         with pytest.raises(ValueError, match="negative"):
             ChoiMatrix(2, 2, -np.eye(4))
+
+    def test_distance_counts_unmatched_label_pairs(self, rng):
+        # the channel's labels s y and the complement's -t y agree only at y = 0
+        chan = BeamSplitterChannel(BS72, random_density_matrix(P7, rng))
+        table, other = chan.choi(), chan.choi(complement=True)
+        assert np.count_nonzero(table.labels == other.labels) == 1
+        dense = frobenius_distance(choi_table_dense(table), choi_table_dense(other))
+        assert dense > 0.1
+        assert abs(table.distance(other) - dense) <= 1e-12
+
+    def test_mutated_tables_fail_the_dense_oracle(self, rng):
+        sigma = random_density_matrix(P7, rng)
+        chan = BeamSplitterChannel(BS72, sigma)
+        shift = WeylIndex.make(P7, 3, 5)
+        expected = choi_dense(sigma.matrix, beam_splitter_unitary(7, 1, 2, 2), post_unitary=parity_operator(P7) @ weyl_dense(P7, shift))
+        table = chan.choi(parity=True, displacement=shift)
+        assert np.max(np.abs(choi_table_dense(table) - expected)) <= 1e-12
+        flipped = chan.choi(parity=True, displacement=shift.neg(7))  # every displacement phase conjugated
+        dropped = table.coeffs.copy()
+        dropped[1, 2] = 0.0  # one term left out
+        for mutant in (flipped, ChoiTable(P7, table.labels, dropped)):
+            assert np.max(np.abs(choi_table_dense(mutant) - expected)) > 1e-3
+            assert abs(table.distance(mutant) - frobenius_distance(choi_table_dense(mutant), expected)) <= 1e-12
+
+
+def dense_identity_case(d, n, s, t, env):
+    """pytest.param for a (d, n, s, t) complement-identity case and its environment kind."""
+    return pytest.param(d, n, s, t, env, id=f"{d}-{n}-{s}-{t}" + ("" if env == "mixed" else f"-{env}"))
+
+
+DENSE_IDENTITY_CASES = [
+    *(dense_identity_case(*case, "mixed") for case in valid_pairs((5, 1), (7, 1), (11, 1), (13, 1), (5, 2))),
+    dense_identity_case(7, 2, 2, 2, "mixed"),
+    dense_identity_case(7, 2, 2, 5, "pure-product"),
+]
 
 
 class TestComplementIdentity:
@@ -384,16 +435,21 @@ class TestComplementIdentity:
         rep = complement_identity_check(BS72, preset_state("maximally-mixed", P7))
         assert rep.passed
 
-    @pytest.mark.parametrize("d, n, s, t", valid_pairs((7, 1), (5, 2)))
-    def test_matches_dense_choi_oracle(self, d, n, s, t, rng):
+    @pytest.mark.parametrize("d, n, s, t, env", DENSE_IDENTITY_CASES)
+    def test_matches_dense_choi_oracle(self, d, n, s, t, env, rng):
         params = QuditParams(d, n)
-        sigma = random_density_matrix(params, rng)
+        if env == "mixed":
+            sigma = random_density_matrix(params, rng)
+        else:
+            single = QuditParams(d)
+            sigma = random_pure_state(single, rng).tensor(random_pure_state(single, rng))
         parity = parity_operator(params)
         left = choi_dense(sigma.matrix, beam_splitter_unitary(d, n, s, t), complement=True)
         right = choi_dense(parity @ sigma.matrix @ parity.T, beam_splitter_unitary(d, n, t, s), post_unitary=parity)
+        chan = BeamSplitterChannel(BSParams(params, s, t), sigma)
         swapped = BeamSplitterChannel(BSParams(params, t, s), phase_inversion(sigma))
-        monomial = swapped.choi(post_unitary=(scale_indices(d, n, -1), np.ones(params.dim)))
-        assert np.max(np.abs(monomial.matrix - right)) <= 1e-12
+        assert np.max(np.abs(choi_table_dense(chan.choi(complement=True)) - left)) <= 1e-12
+        assert np.max(np.abs(choi_table_dense(swapped.choi(parity=True)) - right)) <= 1e-12
         rep = complement_identity_check(BSParams(params, s, t), sigma)
         assert rep.passed
         assert abs(rep.frobenius_distance - frobenius_distance(left, right)) <= 1e-12
@@ -431,11 +487,9 @@ class TestDegradationWitness:
         back = shift.scale(-2 * s, 7)
         left = choi_dense(sigma.matrix, u, complement=True)
         right = choi_dense(sigma.matrix, u, post_unitary=parity @ weyl_dense(P7, back))
-        rows, phases = weyl_action(P7, back)
-        monomial = BeamSplitterChannel(BSParams(P7, s, s), sigma).choi(
-            post_unitary=(scale_indices(7, 1, -1)[rows], phases)
-        )
-        assert np.max(np.abs(monomial.matrix - right)) <= 1e-12
+        chan = BeamSplitterChannel(BSParams(P7, s, s), sigma)
+        assert np.max(np.abs(choi_table_dense(chan.choi(complement=True)) - left)) <= 1e-12
+        assert np.max(np.abs(choi_table_dense(chan.choi(parity=True, displacement=back)) - right)) <= 1e-12
         rep = degradation_witness(BSParams(P7, s, s), sigma, displacement=shift)
         assert rep.passed
         assert abs(rep.frobenius_distance - frobenius_distance(left, right)) <= 1e-12
@@ -447,6 +501,47 @@ class TestDegradationWitness:
     def test_asymmetric_environment_rejected(self):
         with pytest.raises(ValueError, match="parity symmetric"):
             degradation_witness(BS72, preset_state("uniform-01", P7))
+
+
+class TestChoiTableCost:
+    """Both symmetry identities on Choi tables: no eigensolve, partial trace
+    or reference/output state, and no dense Choi matrix at d^n = 343."""
+
+    def test_identities_make_no_dense_choi_matrix(self, rng, monkeypatch):
+        params = QuditParams(7, 3)
+        shift = WeylIndex.make(params, (1, 0, 2), (3, 1, 0))
+        sigma, env = random_density_matrix(params, rng), displace(preset_state("ket-zero", params), shift)
+        checks = (
+            lambda: complement_identity_check(BSParams(params, 2, 5), sigma),
+            lambda: degradation_witness(BSParams(params, 2, 2), env, displacement=shift),
+        )
+        for check in checks:
+            assert check().passed  # also fills the cached index and DFT tables
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        for module in (qmc.linalg, qmc.channel):
+            monkeypatch.setattr(module, "partial_trace", counting("partial_trace", qmc.linalg.partial_trace), raising=False)
+        monkeypatch.setattr(
+            BeamSplitterChannel, "reference_output", counting("reference_output", BeamSplitterChannel.reference_output)
+        )
+        for check in checks:
+            tracemalloc.start()
+            try:
+                assert check().passed
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * params.dim**2 * 16  # 4 dim^2 complex entries in all, so no array holds more
+        assert calls == []
 
 
 class TestPhaseInversionMap:

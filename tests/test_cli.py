@@ -264,6 +264,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["results"]["pass"] is True
 
+    @pytest.mark.parametrize("n, extra", [(2, []), (3, ["--env-samples", "1"])])
+    def test_theorem5_passes_past_dim_49(self, n, extra, capsys):
+        code = main(["verify", "--suite", "theorem-5", "--d", "7", "--n", str(n), "--s", "2", "--t", "5",
+                     "--seed", "7", *extra])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["results"]["pass"] is True
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("[PASS] theorem-5:") for line in lines)
+
     def test_theorem5_runs_at_n2_with_unequal_weights(self):
         from qmc.verify import VerifyConfig
         from qmc.verify import check_suite_n

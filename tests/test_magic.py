@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import qmc.magic as magic
-from qmc.channel import displace
 from qmc.magic import (
     ConeProgramResult,
     MrmInfError,
@@ -26,7 +25,7 @@ from qmc.states import (
 )
 from qmc.weyl import QuditParams, WeylIndex
 
-from oracles import clifford_dressed_environment, max_relative_entropy, stabilizer_weight_bracket
+from oracles import clifford_dressed_environment, displace, max_relative_entropy, stabilizer_weight_bracket
 
 P7 = QuditParams(7)
 
