@@ -2,12 +2,16 @@
 
 Coherent information and its exact gradient run through one fused kernel
 (``_ic_matrix_fn``): the channel and its complement are the two blocks of
-one Weyl multiplier, so both outputs come from one input DFT, their spectra
-from one stacked eigensolve when the sides agree, and the gradient from one
-adjoint over both logs.  The optimizer reports certified lower bounds only:
-the value returned is the best coherent information actually evaluated,
-never an optimality claim.  Upper bounds come from the proven claims
-exercised by the verification suites (``verify``), not from optimization.
+one Weyl multiplier, so both outputs come from one input table, their
+spectra from one stacked eigensolve when the sides agree, and the gradient
+from one adjoint over both logs.  The tables belong to the states: the
+multiplier reads the environment's (``DensityMatrix.raw_table`` and
+``purified_table``), and ``coherent_information`` feeds the input state's
+own ``raw_table``, so an input sent through many channels is transformed
+once.  The optimizer reports certified lower bounds only: the value
+returned is the best coherent information actually evaluated, never an
+optimality claim.  Upper bounds come from the proven claims exercised by
+the verification suites (``verify``), not from optimization.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ def _ic_matrix_fn(chan: BeamSplitterChannel):
     information for every environment, and both maps are linear in rho.
 
     Both maps are the two blocks of the channel's ``coherent_multiplier``:
-    one input DFT, one product and one inverse DFT give both outputs.  With
-    a pure environment the outputs have equal sides and share one stacked
-    eigensolve; otherwise each side has its own.
+    one input table, one product and one inverse DFT give both outputs.
+    With a pure environment the outputs have equal sides and share one
+    stacked eigensolve; otherwise each side has its own.
 
     ``ic(m)`` takes eigenvalues only.  ``ic(m, grad=True)`` returns
     ``(I_c, A)`` with dI_c = Tr(A dm) for Hermitian dm:
@@ -47,11 +51,13 @@ def _ic_matrix_fn(chan: BeamSplitterChannel):
 
     one multiplier adjoint over both logs.  The 1/ln 2 terms of the two
     entropy derivatives cancel because both maps preserve the trace.
+    ``table`` is m's raw table when the caller holds it
+    (``DensityMatrix.raw_table``); otherwise it is computed from m.
     """
     kernel = chan.coherent_multiplier
 
-    def ic(m: np.ndarray, grad: bool = False):
-        stacks = kernel.images(m)  # [N(m), N^c(m)] as one stack or two
+    def ic(m: np.ndarray, grad: bool = False, table: np.ndarray | None = None):
+        stacks = kernel.images(m) if table is None else kernel.images_of_table(table)  # [N(m), N^c(m)]
         if not grad:
             h = np.concatenate([von_neumann_entropies(x) for x in stacks])
             return float(h[0] - h[1])
@@ -76,9 +82,13 @@ def coherent_information(chan: BeamSplitterChannel, rho: DensityMatrix) -> float
     """Coherent information of one input through the channel, in bits.
 
     One route for every environment: S(channel output) - S(complement output
-    on the traced register and the environment purifier).
+    on the traced register and the environment purifier).  A
+    ``DensityMatrix`` input brings its own raw table, so a state sent
+    through many channels is transformed once; any other object with a
+    ``.matrix`` is transformed here.
     """
-    return chan.ic_evaluator(rho.matrix)
+    table = rho.raw_table if isinstance(rho, DensityMatrix) else None
+    return chan.ic_evaluator(rho.matrix, table=table)
 
 
 def coherent_information_purification(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:

@@ -16,6 +16,15 @@ output states use the Stinespring amplitudes psi[r, I[a, b]] * P[J[a, b], k]
 of the environment purified as sigma = P P^dag (``stinespring_amplitudes``),
 where |I[a, b], J[a, b]> is the preimage of |a, b>.
 
+The environment state owns the tables and the purifier (``DensityMatrix``
+computes each on first use and keeps it), so the coherent-information
+kernel of a channel is a read of them: ``coherent_multiplier`` and
+``purified_complement`` take the environment's raw table and
+purifier-block table at the weights' scales times a fixed phase, with no
+eigensolve or DFT per channel, and every channel on one state shares one
+purifier.  The one-block channel maps transform the environment per
+channel (``multiplier``).
+
 Choi matrices are held as their dim^2 Weyl coefficients (``ChoiTable``),
 never as dim^2 x dim^2 matrices; the symmetry identities
 (``complement_identity_check``, ``degradation_witness``) compare such
@@ -46,10 +55,10 @@ from .weyl import (
     _dft_tables,
     _digit_table,
     _powers,
+    _raw_table,
 )
 
 CHANNEL_EQ_TOL = 1e-9
-BRANCH_CUTOFF = 1e-14  # environment eigenvalues below this carry no Stinespring branch
 MAX_SIDE = 49 * 49  # largest dense reference/output or E x E' side (the dim-49 product environment)
 
 
@@ -69,25 +78,6 @@ def beam_splitter_permutation(bsparams: BSParams) -> np.ndarray:
     b = bsparams
     i, j = _gather_indices(b.params.d, b.params.n, b.s, -b.t)
     return (i * b.params.dim + j).reshape(-1)
-
-
-def branch_columns(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, ranks) for one state or a stack of them: C = V sqrt(diag(lambda))
-    over the ascending eigenvalues, with the columns at or below
-    ``BRANCH_CUTOFF`` zeroed, and the number of columns kept per state."""
-    vals, vecs = np.linalg.eigh(states)
-    keep = vals > BRANCH_CUTOFF
-    return vecs * np.sqrt(np.where(keep, vals, 0.0))[..., None, :], keep.sum(axis=-1)
-
-
-def purifiers(states: np.ndarray) -> np.ndarray:
-    """P[..., :, :] with sigma = P P^dag for one state or a stack of them:
-    columns sqrt(lambda_k) v_k for the eigenvalues above ``BRANCH_CUTOFF``
-    (ascending, so the last columns), after zero columns that pad every
-    state of a stack to the stack's largest rank.  Zero columns add nothing
-    to any Stinespring sum."""
-    cols, ranks = branch_columns(states)
-    return np.ascontiguousarray(cols[..., cols.shape[-1] - int(ranks.max()) :])
 
 
 def stinespring_gather(i: np.ndarray, j: np.ndarray, psi: np.ndarray, purifier: np.ndarray) -> np.ndarray:
@@ -132,18 +122,12 @@ class BeamSplitterChannel:
         i, j = _gather_indices(p.d, p.n, self.bsparams.s, self.bsparams.t)
         return (i.T, j.T) if complement else (i, j)
 
-    def environment_purifier(self) -> np.ndarray:
-        """P with sigma = P P^dag: columns sqrt(lambda_k) v_k, one per
-        environment eigenvalue above ``BRANCH_CUTOFF`` (``purifiers``).
-        Computed afresh; ``purifier`` keeps it for the channel's lifetime."""
-        return purifiers(self.environment.matrix)
-
-    @cached_property
+    @property
     def purifier(self) -> np.ndarray:
-        """``environment_purifier()``, computed on first use and kept (read-only)."""
-        out = self.environment_purifier()
-        out.flags.writeable = False
-        return out
+        """P with sigma = P P^dag (``DensityMatrix.purifier``): the environment
+        state's, computed by the state on first use by any channel and shared
+        by all of them; read-only."""
+        return self.environment.purifier
 
     @cached_property
     def ic_evaluator(self):
@@ -157,39 +141,46 @@ class BeamSplitterChannel:
 
     @cached_property
     def multiplier(self) -> WeylMultiplier:
-        """The channel as a Weyl multiplier, Xi_rho(s x) Xi_sigma(t x)."""
-        b = self.bsparams
-        return WeylMultiplier.of(self.params, [(b.s, self.environment.matrix, b.t, 1)])
+        """The channel as a Weyl multiplier, Xi_rho(s x) Xi_sigma(t x).  It
+        transforms the environment itself and keeps nothing on the state:
+        the one-block maps serve one-off applications (``apply``,
+        ``convolve``), where a table kept on a longer-lived environment
+        would only hold memory."""
+        b, table = self.bsparams, _raw_table(self.params, self.environment.matrix)
+        return WeylMultiplier.from_tables(self.params, [(b.s, table, b.t, 1)])
 
     @cached_property
     def complement_multiplier(self) -> WeylMultiplier:
-        """The complement as a Weyl multiplier, Xi_rho(-t x) Xi_sigma(s x)."""
-        b = self.bsparams
-        return WeylMultiplier.of(self.params, [(-b.t, self.environment.matrix, b.s, 1)])
+        """The complement as a Weyl multiplier, Xi_rho(-t x) Xi_sigma(s x),
+        built as ``multiplier`` is."""
+        b, table = self.bsparams, _raw_table(self.params, self.environment.matrix)
+        return WeylMultiplier.from_tables(self.params, [(-b.t, table, b.s, 1)])
 
     def _purified_block(self) -> tuple:
         """The complement onto E x E' (traced output, environment purifier) as
         a multiplier block, [(e, k), (f, l)]: block (k, l) has p_k p_l^dag,
-        p_k column k of ``purifier``, for sigma.  A side dim * rank above
+        p_k column k of ``purifier``, for sigma, and its tables are the
+        environment's ``purified_table``.  A side dim * rank above
         ``MAX_SIDE`` raises ValueError before the large arrays are built."""
         dim, rank = self.purifier.shape
         check_side(dim, rank, 2 * (dim * rank) ** 2)
-        vec = self.purifier.reshape(-1)
-        return (-self.bsparams.t, np.outer(vec, vec.conj()), self.bsparams.s, rank)
+        return (-self.bsparams.t, self.environment.purified_table, self.bsparams.s, rank)
 
     @cached_property
     def purified_complement(self) -> WeylMultiplier:
         """The E x E' complement alone, as a one-block multiplier; its image
         is bit for bit the second block of ``coherent_multiplier``."""
-        return WeylMultiplier.of(self.params, [self._purified_block()])
+        return WeylMultiplier.from_tables(self.params, [self._purified_block()])
 
     @cached_property
     def coherent_multiplier(self) -> WeylMultiplier:
         """The channel and the E x E' complement as one two-block multiplier,
         the pair of maps whose output entropies give the coherent
-        information: one input DFT and one product make both images."""
+        information: one input table and one product make both images."""
         b = self.bsparams
-        return WeylMultiplier.of(self.params, [(b.s, self.environment.matrix, b.t, 1), self._purified_block()])
+        return WeylMultiplier.from_tables(
+            self.params, [(b.s, self.environment.raw_table, b.t, 1), self._purified_block()]
+        )
 
     def apply_matrix(self, rho_matrix: np.ndarray, complement: bool = False) -> np.ndarray:
         """Channel action on a raw matrix; no state validation (hot path)."""

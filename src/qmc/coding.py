@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BeamSplitterChannel, branch_columns, stinespring_gather
+from .channel import BeamSplitterChannel, stinespring_gather
 from .magic import mrm_inf
 from .states import DensityMatrix, StabilizerFamily, preset_state, stabilizer_family
 from .weyl import BSParams, QuditParams, scale_indices
@@ -366,20 +366,13 @@ class SearchReport:
 
 def _cycled_purifiers(family: StabilizerFamily) -> Callable[[int, int], np.ndarray]:
     """``purifiers_of`` for trials cycled over the family: trial i runs on
-    member i mod len(family).  Each member's branch columns are computed the
-    first time a search needs them and kept on the member; a block's are cut
-    to the block's largest rank, the same array ``purifiers`` gives for the
-    stacked states."""
-
-    def branches(i: int) -> tuple[np.ndarray, int]:
-        member = family.members[i]
-        if member.branches is None:
-            cols, rank = branch_columns(family.state_at(i).matrix)
-            member.branches = cols, int(rank)
-        return member.branches
+    member i mod len(family).  Each member's state computes its branch
+    columns (``DensityMatrix.branches``) the first time a search or a channel
+    needs them and keeps them; a block's are cut to the block's largest
+    rank, the same array one eigensolve of the stacked states gives."""
 
     def purifiers_of(lo: int, t: int) -> np.ndarray:
-        cols, ranks = zip(*(branches(int(e)) for e in np.arange(lo, lo + t) % len(family)))
+        cols, ranks = zip(*(family.state_at(int(e)).branches for e in np.arange(lo, lo + t) % len(family)))
         return np.stack([c[:, -max(ranks) :] for c in cols])
 
     return purifiers_of
@@ -400,10 +393,10 @@ def stabilizer_ceiling_search(
     1/K construction is always included so the search also certifies the
     ceiling is reachable.  The trials run in stacked blocks
     (``_search_trials``), each block's environment purifiers padded to the
-    block's largest rank; each member is purified once per family
-    (``_cycled_purifiers``).  Exhausting
-    the budget without a violation is the expected outcome, not an error;
-    a negative ``trials`` raises ValueError.
+    block's largest rank; each member's state is purified once and keeps
+    its purifier (``_cycled_purifiers``).  Exhausting the budget without a
+    violation is the expected outcome, not an error; a negative ``trials``
+    raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")

@@ -3,14 +3,15 @@
 Density matrices, named preset states, the minimal stabilizer-projection
 family (one member per isotropic subspace of Z_d^{2n} and character), mean
 states, phase-space inversion symmetry, random state sampling, and the JSON
-state file format.
+state file format.  A density matrix owns its phase-space tables and its
+purifier, computed on first use and kept (``DensityMatrix``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -24,8 +25,10 @@ from .weyl import (
     WeylIndex,
     characteristic_function,
     inverse_weyl_transform,
+    _block_table,
     _digit_table,
     _powers,
+    _raw_table,
     _weyl_monomials,
 )
 
@@ -34,6 +37,7 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 UNIT_MODULUS_TOL = 1e-9
 MEMBER_MATCH_TOL = 1e-8
+BRANCH_CUTOFF = 1e-14  # eigenvalues below this carry no purifier column (no Stinespring branch)
 
 PRESET_NAMES = (
     "ket-zero",
@@ -46,15 +50,37 @@ PRESET_NAMES = (
 )
 
 
+def branch_columns(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, ranks) for one state or a stack of them: C = V sqrt(diag(lambda))
+    over the ascending eigenvalues, with the columns at or below
+    ``BRANCH_CUTOFF`` zeroed, and the number of columns kept per state."""
+    vals, vecs = np.linalg.eigh(states)
+    keep = vals > BRANCH_CUTOFF
+    return vecs * np.sqrt(np.where(keep, vals, 0.0))[..., None, :], keep.sum(axis=-1)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A d^n x d^n positive unit-trace matrix tagged with its qudit layout."""
+    """A d^n x d^n positive unit-trace matrix tagged with its qudit layout.
+
+    The state holds its own read-only copy of the matrix, so the
+    phase-space data it computes on first use and keeps cannot go stale:
+    ``raw_table``, and only when a purifier is asked for, ``branches``,
+    ``purifier`` and ``purified_table``.  Channels read these tables; a state
+    sent through many channels, or a channel environment shared by many
+    channels, is transformed and purified once.
+    """
 
     params: QuditParams
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
+        m = _read_only(np.array(self.matrix, dtype=complex, order="C"))  # owned: a caller's array is copied
         object.__setattr__(self, "matrix", m)
         dim = self.params.dim
         if m.shape != (dim, dim):
@@ -68,6 +94,34 @@ class DensityMatrix:
         low = float(np.linalg.eigvalsh(m)[0])
         if low < -PSD_TOL:
             raise ValueError(f"negative eigenvalue {low:.3e}")
+
+    @cached_property
+    def raw_table(self) -> np.ndarray:
+        """The characteristic table before its twist phase (``weyl._raw_table``),
+        dim x dim; read-only."""
+        return _read_only(_raw_table(self.params, self.matrix))
+
+    @cached_property
+    def branches(self) -> tuple[np.ndarray, int]:
+        """``branch_columns`` of the matrix, (C, rank): the one eigensolve
+        behind ``purifier``; read-only."""
+        cols, rank = branch_columns(self.matrix)
+        return _read_only(cols), int(rank)
+
+    @cached_property
+    def purifier(self) -> np.ndarray:
+        """P with rho = P P^dag: columns sqrt(lambda_k) v_k, one per
+        eigenvalue above ``BRANCH_CUTOFF``, ascending; read-only."""
+        cols, rank = self.branches
+        return _read_only(np.ascontiguousarray(cols[:, cols.shape[1] - rank :]))
+
+    @cached_property
+    def purified_table(self) -> np.ndarray:
+        """Raw tables of the purifier block matrix [p_k p_l^dag], over H x C^rank
+        (``weyl._block_table``), (dim, dim, rank^2); read-only.  The block
+        matrix has side dim * rank, so callers bound that side first."""
+        vec = self.purifier.reshape(-1)
+        return _read_only(_block_table(self.params, np.outer(vec, vec.conj()), self.purifier.shape[1]))
 
     @classmethod
     def from_ket(cls, params: QuditParams, amplitudes: Sequence[complex]) -> "DensityMatrix":
@@ -146,7 +200,6 @@ class StabilizerMember:
     rank: int
     generators: tuple[tuple[WeylIndex, complex], ...]
     state: DensityMatrix | None = None
-    branches: tuple[np.ndarray, int] | None = None  # ``channel.branch_columns`` of the state, once computed
 
 
 @dataclass

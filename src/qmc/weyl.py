@@ -23,7 +23,8 @@ DFT and gathers the diagonals back into a matrix; the Wigner table is the
 symplectic Fourier transform of Xi, two more DFT products.
 
 ``WeylMultiplier`` puts products Xi_in(a_i x) Xi_{E_i}(b_i x) between the
-halves, one per block, all blocks from one forward DFT.
+halves, one per block, all blocks from one forward DFT (or the raw table a
+state keeps), with the environments' raw tables read, not recomputed.
 
 Weyl operators, the parity |k> -> |-k> and their products are monomial: a
 row permutation with one phase per column.  The library applies them in
@@ -320,6 +321,16 @@ def _group_products(groups: tuple[_Group, ...], dim: int, matrix: np.ndarray, im
         yield g, matrix @ diagonals.reshape(g.count, dim, -1)
 
 
+def _block_table(params: QuditParams, block: np.ndarray, rank: int) -> np.ndarray:
+    """The raw tables of the blocks (k, l) of a block matrix over H x C^rank,
+    shaped (dim, dim, rank^2): the shifted diagonals of all blocks through
+    one DFT product, the one a multiplier group of that rank makes."""
+    d, n, dim = params.d, params.n, params.dim
+    groups = _stack_groups(d, n, (1,), (rank,))
+    ((_, raw),) = _group_products(groups, dim, _dft_tables(d, n)[1], np.asarray(block, dtype=complex).reshape(-1))
+    return raw.reshape(dim, dim, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class WeylMultiplier:
     """X -> (Y_1, Y_2, ...), one image per block i, with Xi_{Y_i}(x) =
@@ -327,50 +338,58 @@ class WeylMultiplier:
     <X, Y> = Tr(X^dag Y).  For a block matrix E_i over H x C^r_i, block
     (k, l) of Y_i has table Xi_X(a_i x) Xi_{E_i,kl}(b_i x).
 
-    One kernel serves all blocks: one DFT of X's shifted diagonals, a read
-    of that table at a_i x for every block, the product with the symbol
-    (every block's Xi_{E_i,kl}(b_i x), with both transforms' phases and
-    1/dim folded in), the inverse DFT and the gather into the images, the
-    last three once per group of equal rank.  The adjoint runs the same steps
-    backwards on all images at once.  A single map is the one-block case.
-    ``symbols`` holds one view per group, rows of rank^2 entries, of one
-    array.
+    One kernel serves all blocks: X's raw table (one DFT of its shifted
+    diagonals, or the table a state keeps), a read of that table at a_i x
+    for every block, the product with the symbol (every block's
+    Xi_{E_i,kl}(b_i x), with both transforms' phases and 1/dim folded in),
+    the inverse DFT and the gather into the images, the last three once per
+    group of equal rank.  The adjoint runs the same steps backwards on all
+    images at once.  A single map is the one-block case.  ``symbols`` holds
+    one view per group, rows of rank^2 entries, of one array; the DFT
+    matrices and the gather into a matrix are held too, so that a call
+    looks nothing up.
     """
 
     params: QuditParams
     groups: tuple[_Group, ...]
     symbols: tuple[np.ndarray, ...]
+    dft: np.ndarray
+    idft: np.ndarray
+    to_matrix: np.ndarray
 
     @classmethod
-    def of(cls, params: QuditParams, blocks) -> "WeylMultiplier":
-        """Blocks (a, E, b, r): input scale, environment block matrix over
-        H x C^r and its scale.  The environments' DFT is one batched product
-        per group."""
+    def from_tables(cls, params: QuditParams, blocks) -> "WeylMultiplier":
+        """Blocks (a, T, b, r): input scale, the raw table T of an environment
+        block matrix over H x C^r (``_raw_table`` for r = 1, ``_block_table``)
+        and its scale.  No transform runs: each block's symbol is a read of
+        T at b x times a fixed phase."""
         params.require_odd()
         d, n, dim = params.d, params.n, params.dim
         groups = _stack_groups(d, n, tuple(a % d for a, _, _, _ in blocks), tuple(r for _, _, _, r in blocks))
-        _, dft, twist, _ = _dft_tables(d, n)
-        envs = np.concatenate([np.asarray(env, dtype=complex) for _, env, _, _ in blocks], axis=None)
-        raws = [raw for g, group in _group_products(groups, dim, dft, envs) for raw in group.reshape(g.count, dim, dim, -1)]
+        _, dft, twist, idft = _dft_tables(d, n)
         parts = []
-        for (a, _, b, _), raw in zip(blocks, raws):
+        for a, table, b, _ in blocks:
             idx = scale_indices(d, n, b)
             # twist(k x) = twist^(k^2): the phases twist(b x) conj(twist(x)) twist(a x)
-            parts.append(raw[idx[:, None], idx] * (twist ** ((a**2 + b**2 - 1) % d) / dim)[:, :, None])
+            phase = twist ** ((a**2 + b**2 - 1) % d) / dim
+            parts.append(table.reshape(dim, dim, -1)[idx[:, None], idx] * phase[:, :, None])
         symbol = np.concatenate(parts, axis=None)
         symbol.flags.writeable = False
-        return cls(params, groups, tuple(_rows(symbol[g.start : g.stop], g.rank**2) for g in groups))
+        symbols = tuple(_rows(symbol[g.start : g.stop], g.rank**2) for g in groups)
+        return cls(params, groups, symbols, dft, idft, _diagonal_indices(d, n)[1])
 
-    def images(self, m: np.ndarray) -> list[np.ndarray]:
-        """The images of a dim x dim X, as one (count, side, side) stack per
-        group."""
-        p = self.params
-        dim, idft, table = p.dim, _dft_tables(p.d, p.n)[3], _raw_table(p, m)
-        out = []
+    def images_of_table(self, table: np.ndarray) -> list[np.ndarray]:
+        """The images of the X with raw table ``table`` (``_raw_table``), as
+        one (count, side, side) stack per group."""
+        dim, out = self.params.dim, []
         for g, symbol in zip(self.groups, self.symbols):
-            diagonals = (idft @ (table.take(g.read) * symbol).reshape(g.count, dim, -1)).reshape(-1)
+            diagonals = (self.idft @ (table.take(g.read) * symbol).reshape(g.count, dim, -1)).reshape(-1)
             out.append(_rows(diagonals, g.rank).take(g.runs, axis=0).reshape(g.count, dim * g.rank, -1))
         return out
+
+    def images(self, m: np.ndarray) -> list[np.ndarray]:
+        """The images of a dim x dim X (``images_of_table`` of its raw table)."""
+        return self.images_of_table(_raw_table(self.params, m))
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         """Y for a dim x dim X; one-block multipliers only."""
@@ -380,10 +399,9 @@ class WeylMultiplier:
     def adjoint(self, *images: np.ndarray) -> np.ndarray:
         """sum_i N_i^dag(images[i]), a dim x dim matrix, for images in block
         order given as matrices or stacks."""
-        p = self.params
-        _, dft, _, idft = _dft_tables(p.d, p.n)
-        table = np.zeros(p.dim * p.dim, dtype=complex)
-        products = _group_products(self.groups, p.dim, dft, np.concatenate(images, axis=None))
+        dim = self.params.dim
+        table = np.zeros(dim * dim, dtype=complex)
+        products = _group_products(self.groups, dim, self.dft, np.concatenate(images, axis=None))
         for (g, raw), symbol in zip(products, self.symbols):
             values = raw.reshape(symbol.shape) * symbol.conj()
             if g.rank > 1:
@@ -391,7 +409,7 @@ class WeylMultiplier:
             # block c's table at x adds onto a_c x: a permutation of the
             # points for a_c != 0 mod d, all of them onto x = 0 for a_c = 0
             np.add.at(table, g.read, values)
-        return _from_shifted_diagonals(p, idft @ table.reshape(p.dim, p.dim))
+        return (self.idft @ table.reshape(dim, dim)).take(self.to_matrix)
 
 
 def wigner_function(rho) -> np.ndarray:

@@ -15,7 +15,17 @@ import numpy as np
 
 from qmc.linalg import partial_trace
 from qmc.states import DensityMatrix, StabilizerFamily, StabilizerMember, _materialize_member, preset_state
-from qmc.weyl import QuditParams, WeylIndex, _digit_table, monomial_conjugate, weyl_action
+from qmc.weyl import (
+    QuditParams,
+    WeylIndex,
+    WeylMultiplier,
+    _dft_tables,
+    _digit_table,
+    _group_products,
+    _stack_groups,
+    monomial_conjugate,
+    weyl_action,
+)
 
 CHOI_PSD_TOL = 1e-10
 CHOI_TP_TOL = 1e-10
@@ -225,15 +235,20 @@ def stinespring_isometry(unitary: np.ndarray, env_ket: np.ndarray) -> np.ndarray
     return unitary @ np.kron(np.eye(dim), env_ket.reshape(dim, 1))
 
 
+ROUND_OFF_EIGENVALUE = 1e-14  # environment eigenvalues at or below this are round-off of zero
+
+
 def reference_output_dense(psi: np.ndarray, sigma: np.ndarray, unitary: np.ndarray) -> np.ndarray:
     """(id x channel)(|psi><psi|) for psi[r, x], indexed [(r, a), (r', a')]:
     the dense unitary applied to psi[r] x v_k for each eigenvector v_k of the
-    environment, weighted by its eigenvalue, with the traced register summed out."""
+    environment, weighted by its eigenvalue, with the traced register summed
+    out.  Eigenvalues at or below ``ROUND_OFF_EIGENVALUE`` are skipped: each
+    adds at most that much times a unit-trace term."""
     refs, dim = psi.shape
     vals, vecs = np.linalg.eigh(sigma)
     out = np.zeros((refs * dim, refs * dim), dtype=complex)
     for val, env in zip(vals, vecs.T):
-        if val <= 0:
+        if val <= ROUND_OFF_EIGENVALUE:
             continue
         joint = unitary @ np.kron(psi, env).T  # [(a, b), r]
         amp = joint.reshape(dim, dim, refs).transpose(2, 0, 1).reshape(refs * dim, dim)
@@ -1019,3 +1034,33 @@ def ic_gradient_fd(value, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         bump[k] = eps
         grad[k] = (value(x + bump) - value(x - bump)) / (2 * eps)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Bitwise parity references: the constructions the library's cached tables
+# and purifiers must reproduce byte for byte
+# ---------------------------------------------------------------------------
+
+
+def purifiers(states: np.ndarray) -> np.ndarray:
+    """P[..., :, :] with sigma = P P^dag for a stack of states, by one stacked
+    eigensolve: columns sqrt(lambda_k) v_k (ascending) for the eigenvalues
+    above 1e-14, dropped columns zeroed by the product, cut to the stack's
+    largest rank."""
+    vals, vecs = np.linalg.eigh(states)
+    keep = vals > 1e-14
+    cols = vecs * np.sqrt(np.where(keep, vals, 0.0))[..., None, :]
+    return np.ascontiguousarray(cols[..., cols.shape[-1] - int(keep.sum(axis=-1).max()) :])
+
+
+def multiplier_from_matrices(params: QuditParams, blocks) -> WeylMultiplier:
+    """The ``WeylMultiplier`` of blocks (a, E, b, r) given as environment block
+    matrices over H x C^r: their tables from one batched DFT product per
+    group of equal rank, as a multiplier built its own tables before the
+    states kept theirs."""
+    d, n, dim = params.d, params.n, params.dim
+    groups = _stack_groups(d, n, tuple(a % d for a, _, _, _ in blocks), tuple(r for _, _, _, r in blocks))
+    envs = np.concatenate([np.asarray(env, dtype=complex) for _, env, _, _ in blocks], axis=None)
+    products = _group_products(groups, dim, _dft_tables(d, n)[1], envs)
+    raws = [raw for g, group in products for raw in group.reshape(g.count, dim, dim, -1)]
+    return WeylMultiplier.from_tables(params, [(a, raw, b, r) for (a, _, b, r), raw in zip(blocks, raws)])

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from qmc.capacity import (
     OptimizerBudget,
+    _ic_matrix_fn,
     _objective,
     capacity_witness_construction,
     coherent_information,
@@ -17,21 +19,27 @@ from qmc.capacity import (
     qcap_one_shot,
 )
 from qmc.channel import BeamSplitterChannel
+from qmc.linalg import von_neumann_entropies
 from qmc.states import (
+    DensityMatrix,
+    StabilizerFamily,
+    branch_columns,
     preset_state,
     random_density_matrix,
     random_pure_state,
     stabilizer_family,
 )
 from qmc.verify import VerifyConfig, run_suite
-from qmc.weyl import BSParams, QuditParams, valid_st_pairs
+from qmc.weyl import BSParams, QuditParams, _raw_table, valid_st_pairs
 
 from oracles import (
     gather_sum,
     gather_sum_adjoint,
     ic_gradient_fd,
+    multiplier_from_matrices,
     purified_gather_sum,
     purified_gather_sum_adjoint,
+    purifiers,
 )
 
 P7 = QuditParams(7)
@@ -68,20 +76,31 @@ class TestCoherentInformation:
                 assert coherent_information(chan, rho) <= 1e-9
 
     def test_evaluator_built_once_per_channel(self, rng, monkeypatch):
-        calls = []
-        original = BeamSplitterChannel.environment_purifier
+        # two channels on one environment state: the state is purified once
+        # and each channel builds its evaluator once
+        calls, built = [], []
 
-        def counting(self):
+        def counting(matrices):
             calls.append(1)
-            return original(self)
+            return branch_columns(matrices)
 
-        monkeypatch.setattr(BeamSplitterChannel, "environment_purifier", counting)
-        chan = channel(BS72, random_density_matrix(P7, rng))
+        def building(chan):
+            built.append(1)
+            return _ic_matrix_fn(chan)
+
+        monkeypatch.setattr("qmc.states.branch_columns", counting)
+        monkeypatch.setattr("qmc.capacity._ic_matrix_fn", building)
+        env = random_density_matrix(P7, rng)
+        chan, other = channel(BS72, env), channel(BSParams(P7, 2, 5), env)
         first, second = random_density_matrix(P7, rng), random_density_matrix(P7, rng)
         values = [coherent_information(chan, first), coherent_information(chan, second)]
-        assert len(calls) == 1
-        fresh = channel(BS72, chan.environment)
+        others = [coherent_information(other, first), coherent_information(other, second)]
+        assert len(calls) == 1 and len(built) == 2 and other.purifier is chan.purifier
+        fresh = channel(BS72, DensityMatrix(P7, env.matrix))
         assert values == [coherent_information(fresh, first), coherent_information(fresh, second)]
+        assert len(calls) == 2
+        fresh = channel(BSParams(P7, 2, 5), DensityMatrix(P7, env.matrix))
+        assert others == [coherent_information(fresh, first), coherent_information(fresh, second)]
 
     def test_used_channel_freed_without_cyclic_gc(self, rng):
         # the cached evaluator must not hold the channel in a reference cycle
@@ -296,6 +315,59 @@ class TestFusedKernel:
         calls.clear()
         chan.ic_evaluator(rho, grad=True)
         assert calls == ["eigh"]
+
+    def test_family_slices_transform_and_purify_each_state_once(self, rng, monkeypatch):
+        # two theorem-2 slices over fresh d = 7 member states, with fresh
+        # channel objects in each as the benchmark builds them: one purifier
+        # eigensolve per environment state in all (none in the second
+        # slice) and one input DFT per input state
+        family = StabilizerFamily(P7, [replace(m, state=None) for m in stabilizer_family(P7).members])
+        envs = [family.state_at(i) for i in range(len(family))]
+        eighs, tables = [], []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            eighs.append(1)
+            return eigh(*args, **kwargs)
+
+        def counting_table(params, m):
+            tables.append(id(m))
+            return _raw_table(params, m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr("qmc.states._raw_table", counting_table)
+        slices = []
+        for first in (True, False):
+            inputs = [random_density_matrix(P7, rng) for _ in range(3)]
+            eighs.clear()
+            tables.clear()
+            values = [[coherent_information(channel(BS72, env), rho) for rho in inputs] for env in envs]
+            assert len(eighs) == (len(envs) if first else 0)
+            transformed = inputs + envs if first else inputs
+            assert sorted(tables) == sorted(id(state.matrix) for state in transformed)
+            slices.append((inputs, values))
+        monkeypatch.undo()
+        # bit for bit the multipliers built from the matrices, and their values
+        bs = BS72
+        for i, env in enumerate(envs):
+            p = purifiers(env.matrix)
+            vec = p.reshape(-1)
+            purified = (-bs.t, np.outer(vec, vec.conj()), bs.s, p.shape[1])
+            chan = channel(bs, env)
+            built = (chan.multiplier, chan.complement_multiplier, chan.purified_complement, chan.coherent_multiplier)
+            blocks = ([(bs.s, env.matrix, bs.t, 1)], [(-bs.t, env.matrix, bs.s, 1)], [purified],
+                      [(bs.s, env.matrix, bs.t, 1), purified])
+            for kernel, block in zip(built, blocks):
+                reference = multiplier_from_matrices(P7, block)
+                assert [x.tobytes() for x in kernel.symbols] == [x.tobytes() for x in reference.symbols]
+            reference = multiplier_from_matrices(P7, blocks[3])
+            for inputs, values in slices:
+                for rho, value in zip(inputs, values[i]):
+                    images = reference.images(rho.matrix)
+                    got = chan.coherent_multiplier.images_of_table(rho.raw_table)
+                    assert [x.tobytes() for x in got] == [x.tobytes() for x in images]
+                    h = np.concatenate([von_neumann_entropies(x) for x in images])
+                    assert value == float(h[0] - h[1])
 
     @pytest.mark.parametrize("env_rank", [1, 3])
     def test_negative_eigenvalue_named(self, rng, env_rank):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qmc.coding as coding
-from qmc.channel import BeamSplitterChannel, branch_columns, purifiers
+from qmc.channel import BeamSplitterChannel
 from qmc.cli import main
 from qmc.coding import (
     CodeSpec,
@@ -24,6 +24,7 @@ from qmc.coding import (
 from qmc.states import (
     DensityMatrix,
     StabilizerFamily,
+    branch_columns,
     enumerate_stabilizers,
     preset_state,
     random_density_matrix,
@@ -40,6 +41,7 @@ from oracles import (
     dump_kraus_loop,
     entanglement_fidelity_loop,
     pgm_decoder_loop,
+    purifiers,
     ratio_search_loop,
     reference_output_dense,
 )
@@ -248,19 +250,21 @@ class TestCeilingSearch:
             assert found[0] == found[1]
 
     def test_second_search_purifies_no_member_again(self, monkeypatch):
-        # fresh members: the cached family's may already hold their purifiers
-        family = StabilizerFamily(P7, [replace(m, branches=None) for m in stabilizer_family(P7).members])
+        # fresh member states: the cached family's may already hold their purifiers
+        family = StabilizerFamily(P7, [replace(m, state=None) for m in stabilizer_family(P7).members])
         calls = []
 
-        def counting(states):
-            calls.append(1)
-            return branch_columns(states)
+        def counting(matrices):
+            calls.append(id(matrices))
+            return branch_columns(matrices)
 
-        monkeypatch.setattr(coding, "branch_columns", counting)
+        monkeypatch.setattr("qmc.states.branch_columns", counting)
+        members = sorted(id(family.state_at(i).matrix) for i in range(len(family)))
         first = stabilizer_ceiling_search(P7, BS72, 2, trials=len(family) + 5, seed=3, family=family)
-        assert len(calls) == len(family)
+        # each member once, and the baseline's fresh ket-zero environment
+        assert sorted(c for c in calls if c in members) == members and len(calls) == len(family) + 1
         second = stabilizer_ceiling_search(P7, BS72, 2, trials=len(family) + 5, seed=3, family=family)
-        assert len(calls) == len(family)
+        assert len(calls) == len(family) + 2
         assert first.to_dict() == second.to_dict()
 
     def test_peak_memory_does_not_grow_with_trials(self):
@@ -406,12 +410,11 @@ class TestSearchesMatchOracleRoute:
 
     def test_ratio_check_purifies_the_environment_once(self, monkeypatch, rng):
         calls = []
-        original = BeamSplitterChannel.environment_purifier
 
-        def counting(self):
+        def counting(matrices):
             calls.append(1)
-            return original(self)
+            return branch_columns(matrices)
 
-        monkeypatch.setattr(BeamSplitterChannel, "environment_purifier", counting)
+        monkeypatch.setattr("qmc.states.branch_columns", counting)
         fidelity_ratio_bound_check(random_pure_state(P7, rng), BS72, 2, trials=10, seed=4)
         assert len(calls) == 1

@@ -19,6 +19,35 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+
+SWEEP_PATH = """
+import sys
+import numpy as np
+from qmc import (BSParams, BeamSplitterChannel, CharacteristicTable, QuditParams, characteristic_function,
+                 coherent_information, complement_identity_check, inverse_weyl_transform)
+from qmc.states import random_density_matrix, stabilizer_family
+
+params, rng = QuditParams(7), np.random.default_rng(0)
+bs, inputs = BSParams(params, 2, 2), [random_density_matrix(params, rng) for _ in range(3)]
+family = stabilizer_family(params)
+worst = max(coherent_information(BeamSplitterChannel(bs, family.state_at(i)), rho)
+            for i in range(len(family)) for rho in inputs)
+assert worst <= 1e-9, worst
+assert complement_identity_check(bs, random_density_matrix(params, rng)).passed
+rho = random_density_matrix(params, rng)
+back = inverse_weyl_transform(CharacteristicTable(params, characteristic_function(rho).values))
+assert np.max(np.abs(back - rho.matrix)) <= 1e-10
+print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))
+"""
+
+
+def test_sweep_path_leaves_scipy_unloaded():
+    # a theorem-2 slice over the stabilizer family, a complement identity and
+    # a characteristic-table round trip: none of them needs scipy
+    proc = subprocess.run([sys.executable, "-c", SWEEP_PATH], capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 def test_reproduce_results_quick(tmp_path):
     spec = importlib.util.spec_from_file_location("reproduce_results", REPRODUCE)
     script = importlib.util.module_from_spec(spec)

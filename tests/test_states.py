@@ -53,6 +53,27 @@ class TestDensityMatrix:
         assert abs(joint.matrix[0, 0] - 1 / 3) <= 1e-14
 
 
+    def test_source_array_mutation_leaves_state_and_tables(self, rng):
+        # a contiguous complex source is the case np.ascontiguousarray aliases
+        source = random_density_matrix(P7, rng).matrix.copy()
+        rho = DensityMatrix(P7, source)
+        matrix = rho.matrix.copy()
+        table, purifier, purified = rho.raw_table.copy(), rho.purifier.copy(), rho.purified_table.copy()
+        source[:] = np.eye(7) / 7
+        assert np.array_equal(rho.matrix, matrix)
+        assert np.array_equal(rho.raw_table, table)
+        assert np.array_equal(rho.purifier, purifier)
+        assert np.array_equal(rho.purified_table, purified)
+        assert np.array_equal(rho.raw_table, DensityMatrix(P7, matrix).raw_table)
+
+    def test_matrix_and_tables_are_read_only(self, rng):
+        rho = random_density_matrix(P7, rng)
+        for array in (rho.matrix, rho.raw_table, rho.purifier, rho.purified_table, rho.branches[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix *= 2.0
+
 class TestPresets:
     def test_uniform_01(self):
         rho = preset_state("uniform-01", P7)
