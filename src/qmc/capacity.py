@@ -82,25 +82,21 @@ def coherent_information(chan: BeamSplitterChannel, rho: DensityMatrix) -> float
     """Coherent information of one input through the channel, in bits.
 
     One route for every environment: S(channel output) - S(complement output
-    on the traced register and the environment purifier).  A
-    ``DensityMatrix`` input brings its own raw table, so a state sent
-    through many channels is transformed once; any other object with a
-    ``.matrix`` is transformed here.
+    on the traced register and the environment purifier).  The input brings
+    its own raw table, so a state sent through many channels is transformed
+    once; a raw matrix goes to ``chan.ic_evaluator``.
     """
-    table = rho.raw_table if isinstance(rho, DensityMatrix) else None
-    return chan.ic_evaluator(rho.matrix, table=table)
+    return chan.ic_evaluator(rho.matrix, table=rho.raw_table)
 
 
 def coherent_information_purification(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:
     """S(output) - S(reference/output state), from the other side of the same
-    pure state: the input is purified by its eigenvectors and sent through
+    pure state: the input is purified by its ``purifier`` and sent through
     the Stinespring amplitudes.
 
     Agreement with ``coherent_information`` guards the Stinespring wiring.
     """
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    keep = vals > 1e-14
-    psi = (vecs[:, keep] * np.sqrt(vals[keep])).T  # psi[r, x]
+    psi = rho.purifier.T  # psi[r, x]
     joint = von_neumann_entropy(chan.reference_output(psi))  # size-checked before the output is built
     return von_neumann_entropy(chan.apply_matrix(rho.matrix)) - joint
 

@@ -17,13 +17,12 @@ of the environment purified as sigma = P P^dag (``stinespring_amplitudes``),
 where |I[a, b], J[a, b]> is the preimage of |a, b>.
 
 The environment state owns the tables and the purifier (``DensityMatrix``
-computes each on first use and keeps it), so the coherent-information
-kernel of a channel is a read of them: ``coherent_multiplier`` and
-``purified_complement`` take the environment's raw table and
-purifier-block table at the weights' scales times a fixed phase, with no
-eigensolve or DFT per channel, and every channel on one state shares one
-purifier.  The one-block channel maps transform the environment per
-channel (``multiplier``).
+computes each on first use and keeps it), so every map of a channel is a
+read of them: ``apply_matrix``, ``choi`` and ``coherent_multiplier`` take
+the environment's raw table (and, for the E x E' complement, its
+purifier-block table) at the weights' scales times a fixed phase, with no
+eigensolve or DFT of the environment per channel, and every channel on one
+state shares one table and one purifier.
 
 Choi matrices are held as their dim^2 Weyl coefficients (``ChoiTable``),
 never as dim^2 x dim^2 matrices; the symmetry identities
@@ -51,7 +50,6 @@ from .weyl import (
     monomial_conjugate,
     scale_indices,
     weyl_action,
-    _characteristic_values,
     _dft_tables,
     _digit_table,
     _powers,
@@ -139,22 +137,11 @@ class BeamSplitterChannel:
 
         return _ic_matrix_fn(self)
 
-    @cached_property
-    def multiplier(self) -> WeylMultiplier:
-        """The channel as a Weyl multiplier, Xi_rho(s x) Xi_sigma(t x).  It
-        transforms the environment itself and keeps nothing on the state:
-        the one-block maps serve one-off applications (``apply``,
-        ``convolve``), where a table kept on a longer-lived environment
-        would only hold memory."""
-        b, table = self.bsparams, _raw_table(self.params, self.environment.matrix)
-        return WeylMultiplier.from_tables(self.params, [(b.s, table, b.t, 1)])
-
-    @cached_property
-    def complement_multiplier(self) -> WeylMultiplier:
-        """The complement as a Weyl multiplier, Xi_rho(-t x) Xi_sigma(s x),
-        built as ``multiplier`` is."""
-        b, table = self.bsparams, _raw_table(self.params, self.environment.matrix)
-        return WeylMultiplier.from_tables(self.params, [(-b.t, table, b.s, 1)])
+    def _weights(self, complement: bool) -> tuple[int, int]:
+        """(a, b) with output table Xi_in(a x) Xi_sigma(b x): (s, t) for the
+        channel, (-t, s) for the complement."""
+        b = self.bsparams
+        return (-b.t, b.s) if complement else (b.s, b.t)
 
     def _purified_block(self) -> tuple:
         """The complement onto E x E' (traced output, environment purifier) as
@@ -164,27 +151,25 @@ class BeamSplitterChannel:
         ``MAX_SIDE`` raises ValueError before the large arrays are built."""
         dim, rank = self.purifier.shape
         check_side(dim, rank, 2 * (dim * rank) ** 2)
-        return (-self.bsparams.t, self.environment.purified_table, self.bsparams.s, rank)
-
-    @cached_property
-    def purified_complement(self) -> WeylMultiplier:
-        """The E x E' complement alone, as a one-block multiplier; its image
-        is bit for bit the second block of ``coherent_multiplier``."""
-        return WeylMultiplier.from_tables(self.params, [self._purified_block()])
+        a, b = self._weights(complement=True)
+        return (a, self.environment.purified_table, b, rank)
 
     @cached_property
     def coherent_multiplier(self) -> WeylMultiplier:
         """The channel and the E x E' complement as one two-block multiplier,
         the pair of maps whose output entropies give the coherent
         information: one input table and one product make both images."""
-        b = self.bsparams
+        a, b = self._weights(complement=False)
         return WeylMultiplier.from_tables(
-            self.params, [(b.s, self.environment.raw_table, b.t, 1), self._purified_block()]
+            self.params, [(a, self.environment.raw_table, b, 1), self._purified_block()]
         )
 
     def apply_matrix(self, rho_matrix: np.ndarray, complement: bool = False) -> np.ndarray:
-        """Channel action on a raw matrix; no state validation (hot path)."""
-        return (self.complement_multiplier if complement else self.multiplier)(rho_matrix)
+        """Channel action on a raw matrix; no state validation.  The one-block
+        multiplier is built from the environment's raw table on each call:
+        its symbol costs about as much as one image."""
+        a, b = self._weights(complement)
+        return WeylMultiplier.from_tables(self.params, [(a, self.environment.raw_table, b, 1)])(rho_matrix)
 
     def stinespring_amplitudes(self, psi: np.ndarray, complement: bool = False) -> np.ndarray:
         """W[(r, a), (b, k)] = psi[r, I[a, b]] * P[J[a, b], k] for psi[r, x] on
@@ -218,9 +203,8 @@ class BeamSplitterChannel:
     def choi(self, complement: bool = False, parity: bool = False, displacement: WeylIndex | None = None) -> "ChoiTable":
         """Choi table of the channel or its complement, followed by
         w(displacement) and then the parity when given (``ChoiTable.of``)."""
-        b = self.bsparams
-        a, e = (-b.t, b.s) if complement else (b.s, b.t)
-        return ChoiTable.of(self.params, a, characteristic_function(self.environment).values, e, parity, displacement)
+        a, b = self._weights(complement)
+        return ChoiTable.of(self.params, a, self.environment.raw_table, b, parity, displacement)
 
 
 @dataclass(frozen=True)
@@ -241,18 +225,22 @@ class ChoiTable:
             raise ValueError(f"Choi table misses Tr sigma = 1 at the origin by {defect:.3e}")
 
     @classmethod
-    def of(cls, params: QuditParams, a: int, env: np.ndarray, b: int, parity: bool = False,
+    def of(cls, params: QuditParams, a: int, raw: np.ndarray, b: int, parity: bool = False,
            displacement: WeylIndex | None = None) -> "ChoiTable":
-        """The multiplier Xi_in(a y) Xi_E(b y), ``env`` the table of Xi_E,
-        sends w(x) to sum_{a y = x} Xi_E(b y) w(y): term y has label a y and
-        coefficient Xi_E(b y).  w(u) after it puts w^{p_u.q_y - q_u.p_y} on
-        term y; the parity then moves term y to -y, negating a, b and u."""
+        """The multiplier Xi_in(a y) Xi_E(b y), ``raw`` the raw table of E
+        (``DensityMatrix.raw_table``, Xi_E before its twist phase), sends
+        w(x) to sum_{a y = x} Xi_E(b y) w(y): term y has label a y and
+        coefficient Xi_E(b y), the twist and the raw table read at b y.
+        w(u) after it puts w^{p_u.q_y - q_u.p_y} on term y; the parity then
+        moves term y to -y, negating a, b and u."""
         d, n, dim = params.d, params.n, params.dim
         k = -1 if parity else 1
         ib, ia = scale_indices(d, n, k * b), scale_indices(d, n, k * a).astype(np.int32)  # labels < 343^2
-        coeffs = env[np.ix_(ib, ib)]
+        _, dft, twist, _ = _dft_tables(d, n)  # dft[p, j] = w^{-p.j}
+        coeffs = raw[np.ix_(ib, ib)]
+        np.multiply(twist[np.ix_(ib, ib)], coeffs, out=coeffs)  # the twist on the left, as in characteristic_function
         if displacement is not None:
-            u, dft = displacement.scale(k, d), _dft_tables(d, n)[1]  # dft[p, j] = w^{-p.j}
+            u = displacement.scale(k, d)
             coeffs *= dft[u.q @ _powers(d, n)][:, None]  # in place, row then column: no dim^2 temporary
             coeffs *= dft[u.p @ _powers(d, n)].conj()
         return cls(params, (ia * dim)[:, None] + ia, coeffs)
@@ -314,7 +302,7 @@ def complement_identity_check(bsparams: BSParams, sigma: DensityMatrix) -> Chann
     distance of their Choi tables."""
     p = bsparams.params
     neg = scale_indices(p.d, p.n, -1)
-    flipped = _characteristic_values(p, sigma.matrix[np.ix_(neg, neg)])  # the table of P sigma P
+    flipped = _raw_table(p, sigma.matrix[np.ix_(neg, neg)])  # the raw table of P sigma P
     right = ChoiTable.of(p, bsparams.t, flipped, bsparams.s, parity=True)
     del flipped  # no more than two tables live at once
     left = BeamSplitterChannel(bsparams, sigma).choi(complement=True)

@@ -366,14 +366,18 @@ class SearchReport:
 
 def _cycled_purifiers(family: StabilizerFamily) -> Callable[[int, int], np.ndarray]:
     """``purifiers_of`` for trials cycled over the family: trial i runs on
-    member i mod len(family).  Each member's state computes its branch
-    columns (``DensityMatrix.branches``) the first time a search or a channel
-    needs them and keeps them; a block's are cut to the block's largest
-    rank, the same array one eigensolve of the stacked states gives."""
+    member i mod len(family).  Each member's state computes its purifier
+    (``DensityMatrix.purifier``) the first time a search or a channel needs
+    it and keeps it; a block's purifiers are padded in front with exact
+    zeros to the block's largest rank, the layout one eigensolve of the
+    stacked states gives, whose dropped columns are zeros too."""
 
     def purifiers_of(lo: int, t: int) -> np.ndarray:
-        cols, ranks = zip(*(family.state_at(int(e)).branches for e in np.arange(lo, lo + t) % len(family)))
-        return np.stack([c[:, -max(ranks) :] for c in cols])
+        kept = [family.state_at(int(e)).purifier for e in np.arange(lo, lo + t) % len(family)]
+        out = np.zeros((t, kept[0].shape[0], max(p.shape[1] for p in kept)), dtype=complex)
+        for block, p in zip(out, kept):
+            block[:, block.shape[1] - p.shape[1] :] = p
+        return out
 
     return purifiers_of
 

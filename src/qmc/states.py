@@ -70,10 +70,11 @@ class DensityMatrix:
 
     The state holds its own read-only copy of the matrix, so the
     phase-space data it computes on first use and keeps cannot go stale:
-    ``raw_table``, and only when a purifier is asked for, ``branches``,
-    ``purifier`` and ``purified_table``.  Channels read these tables; a state
-    sent through many channels, or a channel environment shared by many
-    channels, is transformed and purified once.
+    ``raw_table``, and only when a purifier is asked for, ``purifier`` and
+    ``purified_table``.  Channels read these and nothing else of the state
+    (every map of a channel, its Choi table included); a state sent through
+    many channels, or a channel environment shared by many channels, is
+    transformed and purified once.
     """
 
     params: QuditParams
@@ -102,18 +103,12 @@ class DensityMatrix:
         return _read_only(_raw_table(self.params, self.matrix))
 
     @cached_property
-    def branches(self) -> tuple[np.ndarray, int]:
-        """``branch_columns`` of the matrix, (C, rank): the one eigensolve
-        behind ``purifier``; read-only."""
-        cols, rank = branch_columns(self.matrix)
-        return _read_only(cols), int(rank)
-
-    @cached_property
     def purifier(self) -> np.ndarray:
         """P with rho = P P^dag: columns sqrt(lambda_k) v_k, one per
-        eigenvalue above ``BRANCH_CUTOFF``, ascending; read-only."""
-        cols, rank = self.branches
-        return _read_only(np.ascontiguousarray(cols[:, cols.shape[1] - rank :]))
+        eigenvalue above ``BRANCH_CUTOFF``, ascending, from the state's one
+        eigensolve (``branch_columns``); read-only."""
+        cols, rank = branch_columns(self.matrix)
+        return _read_only(np.ascontiguousarray(cols[:, cols.shape[1] - int(rank) :]))
 
     @cached_property
     def purified_table(self) -> np.ndarray:

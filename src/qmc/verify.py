@@ -338,9 +338,7 @@ def lemma_suite(cfg: VerifyConfig) -> SuiteReport:
     for _ in range(cfg.samples):
         rho = random_density_matrix(params, rng)
         sig = random_density_matrix(params, rng)
-        vals, vecs = np.linalg.eigh(rho.matrix)
-        psi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).T  # psi[r, x]
-        joint = BeamSplitterChannel(bs, sig).reference_output(psi)
+        joint = BeamSplitterChannel(bs, sig).reference_output(rho.purifier.T)  # psi[r, x]
         out = DensityMatrix(params, partial_trace(joint, [params.dim, params.dim], keep=[1]))
         lhs = characteristic_function(out).values
         rhs = characteristic_function(rho).scaled(bs.s) * characteristic_function(sig).scaled(bs.t)

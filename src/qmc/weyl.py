@@ -239,16 +239,13 @@ def _raw_table(params: QuditParams, m: np.ndarray) -> np.ndarray:
     return _dft_tables(params.d, params.n)[1] @ np.asarray(m).take(_diagonal_indices(params.d, params.n)[0])
 
 
-def _characteristic_values(params: QuditParams, m: np.ndarray) -> np.ndarray:
-    """Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j + q, j]."""
-    params.require_odd()
-    return _dft_tables(params.d, params.n)[2] * _raw_table(params, m)
-
-
 def characteristic_function(rho) -> CharacteristicTable:
-    """Characteristic table of a state (anything with .params and .matrix)."""
-    m = np.asarray(rho.matrix, dtype=complex)
-    return CharacteristicTable(rho.params, _characteristic_values(rho.params, m))
+    """Characteristic table of a state (anything with .params and .matrix):
+    Xi(p, q) = w^{-h p.q} sum_j w^{-p.j} rho[j + q, j]."""
+    params: QuditParams = rho.params
+    params.require_odd()
+    twist = _dft_tables(params.d, params.n)[2]
+    return CharacteristicTable(params, twist * _raw_table(params, np.asarray(rho.matrix, dtype=complex)))
 
 
 def inverse_weyl_transform(table: CharacteristicTable) -> np.ndarray:
@@ -424,7 +421,7 @@ def wigner_function(rho) -> np.ndarray:
     exceeds 1e-10 (the exact value is real).
     """
     params: QuditParams = rho.params
-    xi = _characteristic_values(params, np.asarray(rho.matrix, dtype=complex))
+    xi = characteristic_function(rho).values
     _, dft, _, idft = _dft_tables(params.d, params.n)
     values = dft @ xi.T @ idft / params.dim
     residue = float(np.max(np.abs(values.imag)))

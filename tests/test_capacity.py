@@ -4,7 +4,6 @@ import re
 import tracemalloc
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from qmc.states import (
     stabilizer_family,
 )
 from qmc.verify import VerifyConfig, run_suite
-from qmc.weyl import BSParams, QuditParams, _raw_table, valid_st_pairs
+from qmc.weyl import BSParams, QuditParams, WeylMultiplier, _raw_table, valid_st_pairs
 
 from oracles import (
     gather_sum,
@@ -347,22 +346,32 @@ class TestFusedKernel:
             assert sorted(tables) == sorted(id(state.matrix) for state in transformed)
             slices.append((inputs, values))
         monkeypatch.undo()
-        # bit for bit the multipliers built from the matrices, and their values
+        # bit for bit the multipliers built from the matrices, and their values:
+        # the one-block maps from the state's kept tables, as apply_matrix
+        # builds them, and the coherent pair
         bs = BS72
         for i, env in enumerate(envs):
             p = purifiers(env.matrix)
             vec = p.reshape(-1)
             purified = (-bs.t, np.outer(vec, vec.conj()), bs.s, p.shape[1])
             chan = channel(bs, env)
-            built = (chan.multiplier, chan.complement_multiplier, chan.purified_complement, chan.coherent_multiplier)
+            built = (
+                WeylMultiplier.from_tables(P7, [(bs.s, env.raw_table, bs.t, 1)]),
+                WeylMultiplier.from_tables(P7, [(-bs.t, env.raw_table, bs.s, 1)]),
+                WeylMultiplier.from_tables(P7, [(-bs.t, env.purified_table, bs.s, p.shape[1])]),
+                chan.coherent_multiplier,
+            )
             blocks = ([(bs.s, env.matrix, bs.t, 1)], [(-bs.t, env.matrix, bs.s, 1)], [purified],
                       [(bs.s, env.matrix, bs.t, 1), purified])
             for kernel, block in zip(built, blocks):
                 reference = multiplier_from_matrices(P7, block)
                 assert [x.tobytes() for x in kernel.symbols] == [x.tobytes() for x in reference.symbols]
             reference = multiplier_from_matrices(P7, blocks[3])
+            one_block = [multiplier_from_matrices(P7, block) for block in blocks[:2]]
             for inputs, values in slices:
                 for rho, value in zip(inputs, values[i]):
+                    for complement, kernel in enumerate(one_block):
+                        assert chan.apply_matrix(rho.matrix, complement).tobytes() == kernel(rho.matrix).tobytes()
                     images = reference.images(rho.matrix)
                     got = chan.coherent_multiplier.images_of_table(rho.raw_table)
                     assert [x.tobytes() for x in got] == [x.tobytes() for x in images]
@@ -379,7 +388,7 @@ class TestFusedKernel:
         lows = [float(np.linalg.eigvalsh(image)[0]) for image in oracle_images(chan, m)]
         assert min(lows) < -1e-9
         with pytest.raises(ValueError, match="density matrix has negative eigenvalue") as info:
-            coherent_information(chan, SimpleNamespace(matrix=m))
+            chan.ic_evaluator(m)
         reported = float(re.search(r"eigenvalue (\S+)$", str(info.value)).group(1))
         assert any(low < -1e-9 and reported == pytest.approx(low, rel=1e-2) for low in lows)
 

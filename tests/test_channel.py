@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmc.capacity import _entropy_and_log
+from qmc.capacity import _entropy_and_log, coherent_information
 import qmc.channel
 import qmc.linalg
+import qmc.states
+import qmc.weyl
 from qmc.channel import (
     BeamSplitterChannel,
     ChoiTable,
@@ -30,6 +32,7 @@ from qmc.weyl import (
     BSParams,
     QuditParams,
     WeylIndex,
+    WeylMultiplier,
     characteristic_function,
     valid_st_pairs,
     weyl_operator,
@@ -190,10 +193,13 @@ class TestApply:
             assert np.max(np.abs(gather_sum(rho, sigma, ic, jc) - comp)) <= 1e-12
             assert np.max(np.abs(chan.apply_matrix(rho) - out)) <= 1e-12
             assert np.max(np.abs(chan.apply_matrix(rho, complement=True) - comp)) <= 1e-12
-            assert np.max(np.abs(chan.purified_complement(rho) - purified)) <= 1e-12
+            env = chan.environment
+            forward = WeylMultiplier.from_tables(params, [(bs.s, env.raw_table, bs.t, 1)])
+            complement = WeylMultiplier.from_tables(params, [(-bs.t, env.purified_table, bs.s, chan.purifier.shape[1])])
+            assert np.max(np.abs(complement(rho) - purified)) <= 1e-12
             maps = (
-                (chan.multiplier, out, lambda m: gather_sum_adjoint(m, sigma, i, j)),
-                (chan.purified_complement, purified, lambda m: purified_gather_sum_adjoint(m, chan.purifier, ic, jc)),
+                (forward, out, lambda m: gather_sum_adjoint(m, sigma, i, j)),
+                (complement, purified, lambda m: purified_gather_sum_adjoint(m, chan.purifier, ic, jc)),
             )
             logs = []
             for multiplier, image, oracle_adjoint in maps:
@@ -542,6 +548,45 @@ class TestChoiTableCost:
                 tracemalloc.stop()
             assert peak <= 4 * params.dim**2 * 16  # 4 dim^2 complex entries in all, so no array holds more
         assert calls == []
+
+
+class TestEnvironmentTables:
+    """Every map of a channel reads its environment's kept tables: one DFT
+    and one eigensolve per environment state, however many channels and
+    maps use it."""
+
+    def test_each_environment_is_transformed_once(self, rng, monkeypatch):
+        tables, eighs = [], []
+        for module in (qmc.weyl, qmc.states, qmc.channel):
+            original = module._raw_table
+
+            def counting(params, m, original=original):
+                tables.append(id(m))
+                return original(params, m)
+
+            monkeypatch.setattr(module, "_raw_table", counting)
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            eighs.append(id(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        env, rho = random_density_matrix(P7, rng), random_density_matrix(P7, rng)
+        shift = WeylIndex.make(P7, 3, 5)
+        for bs in (BS72, BSParams(P7, 2, 5), BSParams(P7, 5, 2)):
+            chan = BeamSplitterChannel(bs, env)  # a fresh channel on the same state
+            chan.apply_matrix(rho.matrix)
+            chan.apply_matrix(rho.matrix, complement=True)
+            chan.choi()
+            chan.choi(complement=True)
+            chan.choi(parity=True, displacement=shift)
+            coherent_information(chan, rho)
+        assert tables.count(id(env.matrix)) == 1
+        assert eighs == [id(env.matrix)]
+        sigma = displace(preset_state("symmetric-pm1", P7), shift)
+        assert degradation_witness(BS72, sigma, displacement=shift).passed
+        assert tables.count(id(sigma.matrix)) == 1
 
 
 class TestPhaseInversionMap:

@@ -228,26 +228,44 @@ class TestCeilingSearch:
             stabilizer_ceiling_search(P7, BS72, 2, trials=-2, seed=1)
 
     @pytest.mark.parametrize("params, bs, trials", [(P7, BS72, 130), (P13, BS13, 400)])
-    def test_kept_purifiers_are_the_stacked_ones(self, params, bs, trials):
-        # every block, the maximally mixed member's included, is byte for byte
-        # what purifying the block's states as one stack gives, so every seed
-        # decodes the same codes to the same fidelities
+    def test_kept_purifiers_are_the_stacked_ones(self, params, bs, trials, monkeypatch):
+        # every block, the maximally mixed member's included, holds byte for
+        # byte each member's columns of purifying the block's states as one
+        # stack, padded in front with exact zeros where the stack's dropped
+        # columns are signed zeros; every seed decodes the same codes to the
+        # same fidelities, byte for byte
         family = enumerate_stabilizers(params)
         purifiers_of = coding._cycled_purifiers(family)
+
+        def stacked_of(lo, t):
+            return purifiers(np.stack([family.state_at(int(e)).matrix for e in np.arange(lo, lo + t) % len(family)]))
+
         for lo in range(0, trials, 32):
             t = min(32, trials - lo)
-            states = np.stack([family.state_at(int(e)).matrix for e in np.arange(lo, lo + t) % len(family)])
-            kept, stacked = purifiers_of(lo, t), purifiers(states)
+            kept, stacked = purifiers_of(lo, t), stacked_of(lo, t)
             assert kept.dtype == stacked.dtype and kept.shape == stacked.shape
-            assert kept.tobytes() == stacked.tobytes()
+            for e, member, reference in zip(np.arange(lo, lo + t) % len(family), kept, stacked):
+                rank = family.state_at(int(e)).purifier.shape[1]
+                pad = member.shape[1] - rank
+                assert np.count_nonzero(np.abs(reference[:, :pad])) == 0  # the stack drops the same columns
+                assert member[:, pad:].tobytes() == reference[:, pad:].tobytes()
+                assert np.all(member[:, :pad] == 0)
         gather = BeamSplitterChannel(bs, family.state_at(0)).gather_indices()
+        trial_block = coding._trial_block
         for seed in (0, 1, 2):
-            found = [
-                coding._search_trials(np.random.default_rng(seed), trials, 2, gather, of, -math.inf)
-                for of in (purifiers_of, lambda lo, t: purifiers(np.stack(
-                    [family.state_at(int(e)).matrix for e in np.arange(lo, lo + t) % len(family)])))
-            ]
+            found, fidelities = [], []
+            for of in (purifiers_of, stacked_of):
+                fidelities.append([])
+
+                def recording(*args):
+                    values = trial_block(*args)
+                    fidelities[-1].append(values.tobytes())
+                    return values
+
+                monkeypatch.setattr(coding, "_trial_block", recording)
+                found.append(coding._search_trials(np.random.default_rng(seed), trials, 2, gather, of, -math.inf))
             assert found[0] == found[1]
+            assert fidelities[0] == fidelities[1] and len(fidelities[0]) > 0
 
     def test_second_search_purifies_no_member_again(self, monkeypatch):
         # fresh member states: the cached family's may already hold their purifiers

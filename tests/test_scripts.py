@@ -23,9 +23,10 @@ def test_import_leaves_scipy_unloaded():
 SWEEP_PATH = """
 import sys
 import numpy as np
-from qmc import (BSParams, BeamSplitterChannel, CharacteristicTable, QuditParams, characteristic_function,
-                 coherent_information, complement_identity_check, inverse_weyl_transform)
-from qmc.states import random_density_matrix, stabilizer_family
+from qmc import (BSParams, BeamSplitterChannel, CharacteristicTable, DensityMatrix, QuditParams, WeylIndex,
+                 characteristic_function, coherent_information, complement_identity_check, convolve,
+                 degradation_witness, inverse_weyl_transform, preset_state, weyl_operator)
+from qmc.states import random_density_matrix, random_pure_state, stabilizer_family
 
 params, rng = QuditParams(7), np.random.default_rng(0)
 bs, inputs = BSParams(params, 2, 2), [random_density_matrix(params, rng) for _ in range(3)]
@@ -34,6 +35,16 @@ worst = max(coherent_information(BeamSplitterChannel(bs, family.state_at(i)), rh
             for i in range(len(family)) for rho in inputs)
 assert worst <= 1e-9, worst
 assert complement_identity_check(bs, random_density_matrix(params, rng)).passed
+shift = WeylIndex.make(params, 3, 5)
+w = weyl_operator(params, shift)
+displaced = DensityMatrix(params, w @ preset_state("symmetric-pm1", params).matrix @ w.conj().T)
+assert degradation_witness(bs, displaced, displacement=shift).passed
+pair, pair_bs = QuditParams(7, 2), BSParams(QuditParams(7, 2), 2, 2)
+out = convolve(pair_bs, random_density_matrix(pair, rng), random_density_matrix(pair, rng))
+assert abs(np.trace(out.matrix) - 1) <= 1e-10
+env, rho = random_pure_state(params, rng), random_density_matrix(params, rng)
+two = coherent_information(BeamSplitterChannel(pair_bs, env.tensor(env)), rho.tensor(rho))
+assert abs(two - 2 * coherent_information(BeamSplitterChannel(bs, env), rho)) <= 1e-8
 rho = random_density_matrix(params, rng)
 back = inverse_weyl_transform(CharacteristicTable(params, characteristic_function(rho).values))
 assert np.max(np.abs(back - rho.matrix)) <= 1e-10
@@ -42,8 +53,10 @@ print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))
 
 
 def test_sweep_path_leaves_scipy_unloaded():
-    # a theorem-2 slice over the stabilizer family, a complement identity and
-    # a characteristic-table round trip: none of them needs scipy
+    # every request kind of a sweep: a theorem-2 slice over the stabilizer
+    # family, a complement identity, a degradation witness, a dim-49
+    # convolution, the two-copy additivity pair and a characteristic-table
+    # round trip; none of them needs scipy
     proc = subprocess.run([sys.executable, "-c", SWEEP_PATH], capture_output=True, text=True, env=ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -68,7 +68,7 @@ class TestDensityMatrix:
 
     def test_matrix_and_tables_are_read_only(self, rng):
         rho = random_density_matrix(P7, rng)
-        for array in (rho.matrix, rho.raw_table, rho.purifier, rho.purified_table, rho.branches[0]):
+        for array in (rho.matrix, rho.raw_table, rho.purifier, rho.purified_table):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
