@@ -8,10 +8,13 @@ from one adjoint over both logs.  The tables belong to the states: the
 multiplier reads the environment's (``DensityMatrix.raw_table`` and
 ``purified_table``), and ``coherent_information`` feeds the input state's
 own ``raw_table``, so an input sent through many channels is transformed
-once.  The optimizer reports certified lower bounds only: the value
-returned is the best coherent information actually evaluated, never an
-optimality claim.  Upper bounds come from the proven claims exercised by
-the verification suites (``verify``), not from optimization.
+once.  ``_ic_matrix_fn(chan)`` is the one route to the evaluator: a closure
+over the channel's cached ``coherent_multiplier``, built for each
+``coherent_information`` call and once per optimizer run.  The optimizer
+reports certified lower bounds only: the value returned is the best
+coherent information actually evaluated, never an optimality claim.  Upper
+bounds come from the proven claims exercised by the verification suites
+(``verify``), not from optimization.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ def coherent_information(chan: BeamSplitterChannel, rho: DensityMatrix) -> float
     One route for every environment: S(channel output) - S(complement output
     on the traced register and the environment purifier).  The input brings
     its own raw table, so a state sent through many channels is transformed
-    once; a raw matrix goes to ``chan.ic_evaluator``.
+    once; a raw matrix goes to ``_ic_matrix_fn(chan)``.
     """
-    return chan.ic_evaluator(rho.matrix, table=rho.raw_table)
+    return _ic_matrix_fn(chan)(rho.matrix, table=rho.raw_table)
 
 
 def coherent_information_purification(chan: BeamSplitterChannel, rho: DensityMatrix) -> float:
@@ -156,8 +159,6 @@ def _objective(chan: BeamSplitterChannel):
     2 Im(B G).  Returns ``(ic_of_matrix, value_and_grad, to_vector, to_state)``.
     """
     dim = chan.params.dim
-    # a fresh evaluator per run over the channel's cached kernel: cheap, and a
-    # wrapped ``_ic_matrix_fn`` then sees every evaluation of this run
     ic_of_matrix = _ic_matrix_fn(chan)
 
     def to_matrix(x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,10 @@ read of them: ``apply_matrix``, ``choi`` and ``coherent_multiplier`` take
 the environment's raw table (and, for the E x E' complement, its
 purifier-block table) at the weights' scales times a fixed phase, with no
 eigensolve or DFT of the environment per channel, and every channel on one
-state shares one table and one purifier.
+state shares one table and one purifier.  A channel reads them as
+``environment.raw_table`` and ``environment.purifier`` and keeps only its
+``coherent_multiplier``; the coherent-information evaluator over that kernel
+is ``capacity._ic_matrix_fn``, the one route to it.
 
 Choi matrices are held as their dim^2 Weyl coefficients (``ChoiTable``),
 never as dim^2 x dim^2 matrices; the symmetry identities
@@ -120,23 +123,6 @@ class BeamSplitterChannel:
         i, j = _gather_indices(p.d, p.n, self.bsparams.s, self.bsparams.t)
         return (i.T, j.T) if complement else (i, j)
 
-    @property
-    def purifier(self) -> np.ndarray:
-        """P with sigma = P P^dag (``DensityMatrix.purifier``): the environment
-        state's, computed by the state on first use by any channel and shared
-        by all of them; read-only."""
-        return self.environment.purifier
-
-    @cached_property
-    def ic_evaluator(self):
-        """The channel's coherent-information evaluator on raw matrices
-        (``capacity._ic_matrix_fn``), built on first use and kept.  It holds
-        arrays only, never the channel, so caching it here makes no reference
-        cycle and a dropped channel is freed at once."""
-        from .capacity import _ic_matrix_fn  # capacity imports this module
-
-        return _ic_matrix_fn(self)
-
     def _weights(self, complement: bool) -> tuple[int, int]:
         """(a, b) with output table Xi_in(a x) Xi_sigma(b x): (s, t) for the
         channel, (-t, s) for the complement."""
@@ -146,10 +132,10 @@ class BeamSplitterChannel:
     def _purified_block(self) -> tuple:
         """The complement onto E x E' (traced output, environment purifier) as
         a multiplier block, [(e, k), (f, l)]: block (k, l) has p_k p_l^dag,
-        p_k column k of ``purifier``, for sigma, and its tables are the
-        environment's ``purified_table``.  A side dim * rank above
-        ``MAX_SIDE`` raises ValueError before the large arrays are built."""
-        dim, rank = self.purifier.shape
+        p_k column k of the environment's ``purifier``, for sigma, and its
+        tables are the environment's ``purified_table``.  A side dim * rank
+        above ``MAX_SIDE`` raises ValueError before the large arrays are built."""
+        dim, rank = self.environment.purifier.shape
         check_side(dim, rank, 2 * (dim * rank) ** 2)
         a, b = self._weights(complement=True)
         return (a, self.environment.purified_table, b, rank)
@@ -177,7 +163,7 @@ class BeamSplitterChannel:
         output and the environment purifier, as a (refs * dim, dim * rank)
         matrix.  Raises ValueError when refs * dim exceeds ``MAX_SIDE``.
         """
-        purifier = self.purifier
+        purifier = self.environment.purifier
         dim, refs = self.params.dim, psi.shape[0]
         check_side(dim, refs, refs * dim * dim * purifier.shape[1])
         return stinespring_gather(*self.gather_indices(complement), psi, purifier)

@@ -228,6 +228,7 @@ def cmd_wigner(cfg: RunConfig, args) -> int:
 def cmd_fidelity(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     _require_at_least(0, trials=args.trials)  # 0: no search
+    _require_at_least(1, K=args.K)
     bs = cfg.bsparams()
     params = cfg.params()
     env = _load_state(args.env, params, bs)
@@ -252,7 +253,7 @@ def cmd_fidelity(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     members = suite_members(args.suite)
-    _require_at_least(1, samples=args.samples, env_samples=args.env_samples, trials=args.trials)
+    _require_at_least(1, samples=args.samples, env_samples=args.env_samples, trials=args.trials, K=args.K)
     seed = cfg.require_seed()
     if any(SUITES[m].needs_weights for m in members):
         cfg.bsparams()  # validates (s, t) early

@@ -31,13 +31,17 @@ batched products.  The single-code entry points (``pgm_decoder``,
 ``random_relabel_decoder``, ``entanglement_fidelity``, ``CodeSpec``) are the
 T = 1 case; the two searches run their trials as blocks of at most
 ``BLOCK_ELEMENTS`` complex elements per stacked array, so their memory does
-not grow with the number of trials.
+not grow with the number of trials.  Both hand ``_search_trials`` the
+environment states themselves, the stabilizer family or ``[sigma]``: trial
+i runs on state i mod their number, and each block stacks those states' kept
+purifiers, padded in front with zeros to the block's largest rank
+(``_padded``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,43 +143,37 @@ def _dump_rows(gram: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray]:
     return _scaled_rows(vals, vecs, keep), keep
 
 
-def _dump_kraus(used: np.ndarray, cut: float = 1e-12) -> tuple[np.ndarray, ...]:
-    """Complete a partial decoder (m, K, dim) with ``_dump_rows``."""
+def _dump_kraus(used: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Complete a partial decoder (m, K, dim) with ``_dump_rows`` at the cut 1e-12."""
     _, k, dim = used.shape
     rows = used.reshape(-1, dim)
-    dump_rows, keep = _dump_rows(rows.conj().T @ rows, cut)
+    dump_rows, keep = _dump_rows(rows.conj().T @ rows, 1e-12)
     dump = np.zeros((int(keep.sum()), k, dim), dtype=complex)
     dump[:, 0] = dump_rows[keep]
     return tuple(np.concatenate([used, dump]))
 
 
-def stabilizer_code_construction(
-    params: QuditParams, bsparams: BSParams, logical_dim: int, kets: list[int] | None = None
-) -> CodeSpec:
-    """Computational-ket code: encode |i> as |x_i>, decode |s x_i> back to |i>.
+def stabilizer_code_construction(params: QuditParams, bsparams: BSParams, logical_dim: int) -> CodeSpec:
+    """Computational-ket code: encode |i> as |i>, decode |s i> back to |i>.
 
-    The decoder applies the partial isometry sum_i |i><s x_i| coherently
+    The decoder applies the partial isometry sum_i |i><s i| coherently
     (plus a dump on the unaddressed subspace).  Against the all-zeros
-    environment the channel maps |x_i> to |s x_i> but erases all code-space
+    environment the channel maps |i> to |s i> but erases all code-space
     coherence whenever t != 0, which pins the fidelity at exactly 1/K; with
     identity weights (s, t) = (1, 0) the same code recovers perfectly.  The
-    product s x_i is taken digit by digit, so s = 0 mod d is rejected.
+    product s i is taken digit by digit, so s = 0 mod d is rejected, as is
+    a logical dimension outside 1..dim.
     """
     dim = params.dim
+    if logical_dim < 1:
+        raise ValueError(f"logical dimension must be >= 1, got {logical_dim}")
     if logical_dim > dim:
         raise ValueError(f"logical dimension {logical_dim} exceeds {dim}")
     if bsparams.s == 0:
-        raise ValueError(f"the computational-ket code decodes |s x_i>, which needs s != 0 mod {params.d}; got s=0")
-    kets = list(range(logical_dim)) if kets is None else list(kets)
-    if len(set(kets)) != logical_dim:
-        raise ValueError("encoding kets must be distinct")
-    enc = np.zeros((dim, logical_dim), dtype=complex)
-    scaled = scale_indices(params.d, params.n, bsparams.s)
+        raise ValueError(f"the computational-ket code decodes |s i>, which needs s != 0 mod {params.d}; got s=0")
     recover = np.zeros((logical_dim, dim), dtype=complex)
-    for i, x in enumerate(kets):
-        enc[x % dim, i] = 1.0
-        recover[i, scaled[x % dim]] = 1.0
-    return CodeSpec(logical_dim, enc, _dump_kraus(recover[None]))
+    recover[np.arange(logical_dim), scale_indices(params.d, params.n, bsparams.s)[:logical_dim]] = 1.0
+    return CodeSpec(logical_dim, np.eye(dim, logical_dim, dtype=complex), _dump_kraus(recover[None]))
 
 
 def magic_code_construction(bsparams: BSParams) -> tuple[DensityMatrix, CodeSpec]:
@@ -303,12 +301,22 @@ def _trial_block(x: np.ndarray, k: int, gather: tuple[np.ndarray, np.ndarray], p
     return np.stack([_fidelities(pgm, w, k), _fidelities(relabel, w, k)], axis=1)
 
 
+def _padded(purifiers: list[np.ndarray]) -> np.ndarray:
+    """The (dim, R_i) purifiers stacked as (T, dim, R), each padded in front
+    with exact zeros to the largest rank R: the layout one eigensolve of the
+    stacked states gives, whose dropped columns are zeros too."""
+    out = np.zeros((len(purifiers), purifiers[0].shape[0], max(p.shape[1] for p in purifiers)), dtype=complex)
+    for block, p in zip(out, purifiers):
+        block[:, block.shape[1] - p.shape[1] :] = p
+    return out
+
+
 def _search_trials(
     rng: np.random.Generator,
     trials: int,
     k: int,
     gather: tuple[np.ndarray, np.ndarray],
-    purifiers_of: Callable[[int, int], np.ndarray],
+    envs: Sequence[DensityMatrix],
     best: float,
 ) -> tuple[float, tuple[int, str] | None]:
     """The best fidelity of ``trials`` random codes if one beats ``best``,
@@ -317,8 +325,11 @@ def _search_trials(
 
     Each trial draws its encoding (real, then imaginary parts) and then its
     relabel unitary, so a seed gives the same codes at any block size.
-    Blocks are sized for a rank-one environment; ``purifiers_of(lo, t)``
-    gives the (t, dim, R) purifiers of trials lo..lo + t - 1, and a block
+    Trial i runs on the environment ``envs[i % len(envs)]``, a list or a
+    ``StabilizerFamily``, whose members are built when first indexed; each
+    state computes its purifier (``DensityMatrix.purifier``) on first use
+    and keeps it.  Blocks are sized for a rank-one environment, their
+    purifiers are ``_padded`` to the block's largest rank R, and a block
     whose R is larger is decoded in smaller slices of its draws.
     """
     dim = gather[0].shape[0]
@@ -327,7 +338,7 @@ def _search_trials(
     for lo in range(0, trials, size):
         t = min(size, trials - lo)
         x = rng.normal(size=(t, 2 * dim * (k + dim)))
-        purifier = purifiers_of(lo, t)
+        purifier = _padded([envs[i % len(envs)].purifier for i in range(lo, lo + t)])
         step = _block_trials(dim, k, purifier.shape[-1])
         for sub in range(0, t, step):
             values = _trial_block(x[sub : sub + step], k, gather, purifier[sub : sub + step])
@@ -364,24 +375,6 @@ class SearchReport:
         }
 
 
-def _cycled_purifiers(family: StabilizerFamily) -> Callable[[int, int], np.ndarray]:
-    """``purifiers_of`` for trials cycled over the family: trial i runs on
-    member i mod len(family).  Each member's state computes its purifier
-    (``DensityMatrix.purifier``) the first time a search or a channel needs
-    it and keeps it; a block's purifiers are padded in front with exact
-    zeros to the block's largest rank, the layout one eigensolve of the
-    stacked states gives, whose dropped columns are zeros too."""
-
-    def purifiers_of(lo: int, t: int) -> np.ndarray:
-        kept = [family.state_at(int(e)).purifier for e in np.arange(lo, lo + t) % len(family)]
-        out = np.zeros((t, kept[0].shape[0], max(p.shape[1] for p in kept)), dtype=complex)
-        for block, p in zip(out, kept):
-            block[:, block.shape[1] - p.shape[1] :] = p
-        return out
-
-    return purifiers_of
-
-
 def stabilizer_ceiling_search(
     params: QuditParams,
     bsparams: BSParams,
@@ -395,12 +388,11 @@ def stabilizer_ceiling_search(
     Random encodings paired with pretty-good-measurement and random-relabel
     decoders, cycled over every enumerated environment; the deterministic
     1/K construction is always included so the search also certifies the
-    ceiling is reachable.  The trials run in stacked blocks
+    ceiling is reachable.  The trials run in stacked blocks over the family
     (``_search_trials``), each block's environment purifiers padded to the
     block's largest rank; each member's state is purified once and keeps
-    its purifier (``_cycled_purifiers``).  Exhausting the budget without a
-    violation is the expected outcome, not an error; a negative ``trials``
-    raises ValueError.
+    its purifier.  Exhausting the budget without a violation is the
+    expected outcome, not an error; a negative ``trials`` raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -410,7 +402,7 @@ def stabilizer_ceiling_search(
     baseline_chan = BeamSplitterChannel(bsparams, preset_state("ket-zero", params))
     baseline = entanglement_fidelity(baseline_code, baseline_chan)
     gather = baseline_chan.gather_indices()
-    best, found = _search_trials(rng, trials, logical_dim, gather, _cycled_purifiers(family), baseline)
+    best, found = _search_trials(rng, trials, logical_dim, gather, family, baseline)
     if found is None:
         best_desc = "computational-ket construction on the all-zeros environment"
     else:
@@ -458,10 +450,7 @@ def fidelity_ratio_bound_check(
         if value > best:
             best, best_desc = value, name
 
-    def purifiers_of(lo: int, t: int) -> np.ndarray:
-        return np.broadcast_to(chan.purifier, (t, *chan.purifier.shape))
-
-    best, found = _search_trials(rng, trials, logical_dim, chan.gather_indices(), purifiers_of, best)
+    best, found = _search_trials(rng, trials, logical_dim, chan.gather_indices(), [sigma], best)
     if found is not None:
         best_desc = f"trial {found[0]} ({found[1]} decoder)"
     return SearchReport(

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import relative_entropy, von_neumann_entropy
-from .states import DensityMatrix, StabilizerFamily, mean_state, pure_stabilizer_projectors, stabilizer_family
+from .states import DensityMatrix, mean_state, pure_stabilizer_projectors, stabilizer_family
 from .weyl import wigner_function
 
 PSD_RESIDUAL_TOL = 1e-8
+VALUE_TOL_BITS = 1e-7  # widest certified bracket, in bits, that mrm_inf_certificate returns
 LP_GAP_TOL = 1e-9
 MAX_ITERATIONS = 100
 _PIVOT_TOL = 1e-9
@@ -54,13 +55,13 @@ def mrm(rho: DensityMatrix) -> float:
     return von_neumann_entropy(mean_state(rho).matrix) - von_neumann_entropy(rho.matrix)
 
 
-def mrm_enumerated(rho: DensityMatrix, family: StabilizerFamily | None = None) -> float:
+def mrm_enumerated(rho: DensityMatrix) -> float:
     """Exact minimum of D(rho||member) over the enumerated family (bits).
 
     Support-mismatched members contribute +inf; the maximally mixed member
     guarantees a finite value.
     """
-    family = family if family is not None else stabilizer_family(rho.params)
+    family = stabilizer_family(rho.params)
     best = math.inf
     for i in range(len(family)):
         best = min(best, relative_entropy(rho.matrix, family.state_at(i).matrix))
@@ -205,13 +206,6 @@ class ConeProgramResult:
     def certified(self) -> bool:
         return self.min_residual_eigenvalue >= -PSD_RESIDUAL_TOL and self.lp_gap <= LP_GAP_TOL
 
-    @property
-    def bracket_bits(self) -> tuple[float, float]:
-        return (
-            math.log2(max(self.lower_bound_weight, 1e-300)),
-            math.log2(max(self.total_weight, 1e-300)),
-        )
-
 
 def _generator_vectors(projectors: np.ndarray) -> np.ndarray:
     """Unit vectors v_i with P_i = v_i v_i^dag, as the columns of a (dim, n_gen) matrix.
@@ -354,12 +348,7 @@ def _hkm_step(vecs, rho_m, y, s, w, z):
     return y + alpha * dy, _herm(s + alpha * ds), _herm(w + alpha * dw), z + alpha * dz, factorizations
 
 
-def mrm_inf_certificate(
-    rho: DensityMatrix,
-    family: StabilizerFamily | None = None,
-    psd_tol: float = PSD_RESIDUAL_TOL,
-    value_tol_bits: float = 1e-7,
-) -> ConeProgramResult:
+def mrm_inf_certificate(rho: DensityMatrix) -> ConeProgramResult:
     """Solve min sum(y) s.t. sum_i y_i P_i >= rho, y >= 0 over pure stabilizer
     projectors P_i = v_i v_i^dag, returning log2 of the optimum plus its
     certificates.
@@ -379,17 +368,11 @@ def mrm_inf_certificate(
     iterations stop once they pinch to a relative gap of 1e-12, when the gap
     fails to halve within five iterations, at a numerical breakdown, or
     after ``MAX_ITERATIONS``.  The weights are returned if their residual
-    spectrum clears ``-psd_tol`` and the bracket is within
-    ``value_tol_bits``; otherwise ``MrmInfError`` carries the certified
+    spectrum clears ``-PSD_RESIDUAL_TOL`` and the bracket is within
+    ``VALUE_TOL_BITS``; otherwise ``MrmInfError`` carries the certified
     lower bound.
     """
-    if family is not None and family.params != rho.params:
-        raise ValueError("family layout does not match the state")
-    vecs = _generator_vectors(
-        np.stack([s.matrix for s in family.pure_states()])
-        if family is not None
-        else pure_stabilizer_projectors(rho.params)
-    )
+    vecs = _generator_vectors(pure_stabilizer_projectors(rho.params))
     rho_m = rho.matrix
     n_gen = vecs.shape[1]
     y, z = np.full(n_gen, 2.0), np.full(n_gen, 0.5)
@@ -422,7 +405,7 @@ def mrm_inf_certificate(
             pivots += factorizations
         min_resid = float(np.linalg.eigvalsh((vecs * weights) @ vecs.conj().T - rho_m)[0])
     bracket = math.log2(upper) - math.log2(max(lower, 1e-300))
-    if min_resid < -psd_tol or not bracket <= value_tol_bits:
+    if min_resid < -PSD_RESIDUAL_TOL or not bracket <= VALUE_TOL_BITS:
         raise MrmInfError(
             f"interior-point method stopped ({stop}) after {rounds} iterations "
             f"with the weight bracket [{lower:.12f}, {upper:.12f}]",
@@ -443,6 +426,6 @@ def mrm_inf_certificate(
     )
 
 
-def mrm_inf(rho: DensityMatrix, family: StabilizerFamily | None = None) -> float:
+def mrm_inf(rho: DensityMatrix) -> float:
     """Max-relative entropy of magic (bits) over the pure-stabilizer hull."""
-    return mrm_inf_certificate(rho, family=family).value_bits
+    return mrm_inf_certificate(rho).value_bits

@@ -211,6 +211,8 @@ class StabilizerFamily:
             member.state = _materialize_member(self.params, member)
         return member.state
 
+    __getitem__ = state_at  # family[i] builds member i only, on first use
+
     def pure_states(self) -> list[DensityMatrix]:
         return [self.state_at(i) for i, m in enumerate(self.members) if m.rank == self.params.n]
 

@@ -69,7 +69,7 @@ class VerifyConfig:
 
     def __post_init__(self):
         # a suite sized by a count below 1 would check nothing and still pass
-        for name in ("samples", "env_samples", "trials"):
+        for name in ("samples", "env_samples", "trials", "logical_dim"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -447,6 +447,7 @@ class Suite(NamedTuple):
     single_qudit: str | None  # why it runs at n = 1 only; None: at any n
     nontrivial: bool  # its claims are stated for nontrivial weights
     balanced_only: bool = False  # ``single_qudit`` holds only when s = t mod d
+    copies: int = 1  # it builds channels on this many copies of one qudit, so d^copies must fit MAX_DIM
     needs_weights: bool = True  # the CLI asks for --s/--t; False runs at VerifyConfig's (2, 2)
 
 
@@ -456,7 +457,7 @@ class Suite(NamedTuple):
 SUITES = {
     "theorem-2": Suite(_suite_stabilizer_environments, "it enumerates the n = 1 stabilizer family", True),
     "theorem-3": Suite(_suite_magic_gain, "its witness construction is single-qudit", True),
-    "theorem-4": Suite(_suite_magic_bound, "its witness construction is single-qudit", True),
+    "theorem-4": Suite(_suite_magic_bound, "its witness construction is single-qudit", True, copies=2),
     "theorem-5": Suite(
         _suite_symmetry,
         "with s = t mod d it builds its degradation witness on the single-qudit symmetric two-ket state",
@@ -484,8 +485,9 @@ def suite_members(name: str) -> tuple[str, ...]:
 
 def check_suite_n(name: str, cfg: VerifyConfig) -> None:
     """Raise ValueError, naming the suite, when an entry it runs needs
-    nontrivial weights that ``cfg`` lacks, or runs at n = 1 only (with the
-    entry's reason) and ``cfg.n`` is larger."""
+    nontrivial weights that ``cfg`` lacks, runs at n = 1 only (with the
+    entry's reason) and ``cfg.n`` is larger, or builds ``copies`` qudits
+    whose d^copies exceeds ``MAX_DIM``."""
     balanced = cfg.s % cfg.d == cfg.t % cfg.d
     for member in suite_members(name):
         suite = SUITES[member]
@@ -496,6 +498,11 @@ def check_suite_n(name: str, cfg: VerifyConfig) -> None:
             )
         if cfg.n != 1 and suite.single_qudit and (balanced or not suite.balanced_only):
             raise ValueError(f"suite {name!r} runs at n=1 only, got n={cfg.n} ({member}: {suite.single_qudit})")
+        if cfg.d**suite.copies > MAX_DIM:
+            raise ValueError(
+                f"suite {name!r} builds {suite.copies}-qudit channels, and d^{suite.copies} = "
+                f"{cfg.d**suite.copies} exceeds supported size {MAX_DIM} ({member})"
+            )
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> list[SuiteReport]:

@@ -238,19 +238,31 @@ def stinespring_isometry(unitary: np.ndarray, env_ket: np.ndarray) -> np.ndarray
 ROUND_OFF_EIGENVALUE = 1e-14  # environment eigenvalues at or below this are round-off of zero
 
 
+def monomial_take(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, phases) with matrix[r, cols[r]] = phases[r] the one nonzero of
+    row r, so that matrix @ x is phases[:, None] * x[cols]; asserts that the
+    matrix is monomial (one nonzero per row and per column)."""
+    cols = np.argmax(matrix != 0, axis=1)
+    assert np.count_nonzero(matrix) == len(matrix) and np.array_equal(np.sort(cols), np.arange(len(matrix)))
+    return cols, matrix[np.arange(len(matrix)), cols]
+
+
 def reference_output_dense(psi: np.ndarray, sigma: np.ndarray, unitary: np.ndarray) -> np.ndarray:
     """(id x channel)(|psi><psi|) for psi[r, x], indexed [(r, a), (r', a')]:
     the dense unitary applied to psi[r] x v_k for each eigenvector v_k of the
     environment, weighted by its eigenvalue, with the traced register summed
-    out.  Eigenvalues at or below ``ROUND_OFF_EIGENVALUE`` are skipped: each
-    adds at most that much times a unit-trace term."""
+    out.  The unitary must be a 0/1 permutation (asserted), so it is applied
+    as a row take.  Eigenvalues at or below ``ROUND_OFF_EIGENVALUE`` are
+    skipped: each adds at most that much times a unit-trace term."""
     refs, dim = psi.shape
+    take, ones = monomial_take(unitary)
+    assert np.all(ones == 1)
     vals, vecs = np.linalg.eigh(sigma)
     out = np.zeros((refs * dim, refs * dim), dtype=complex)
     for val, env in zip(vals, vecs.T):
         if val <= ROUND_OFF_EIGENVALUE:
             continue
-        joint = unitary @ np.kron(psi, env).T  # [(a, b), r]
+        joint = np.kron(psi, env).T[take]  # U (psi[r] x v_k), [(a, b), r]
         amp = joint.reshape(dim, dim, refs).transpose(2, 0, 1).reshape(refs * dim, dim)
         out += val * (amp @ amp.conj().T)
     return out
@@ -751,14 +763,17 @@ def displace(rho: DensityMatrix, x: WeylIndex) -> DensityMatrix:
 def choi_dense(sigma: np.ndarray, unitary: np.ndarray, complement: bool = False, post_unitary=None) -> np.ndarray:
     """Choi matrix [(r, o), (r', o')] of rho -> Tr_2[U (rho x sigma) U^dag]
     (the complement traces out the first register instead), from the dense
-    unitary; a dense post-unitary V then conjugates it by kron(1, V)."""
+    unitary; a dense monomial post-unitary V (asserted) then conjugates it by
+    kron(1, V), applied as a take of the output rows and columns with V's
+    phases."""
     dim = sigma.shape[0]
     if complement:  # swap the output registers: row (a, b) becomes row (b, a)
         unitary = unitary.reshape(dim, dim, -1).transpose(1, 0, 2).reshape(dim * dim, -1)
     out = reference_output_dense(np.eye(dim) / math.sqrt(dim), sigma, unitary)
     if post_unitary is not None:
-        lifted = np.kron(np.eye(dim), post_unitary)
-        out = lifted @ out @ lifted.conj().T
+        take, phases = monomial_take(post_unitary)
+        blocks = out.reshape(dim, dim, dim, dim)[:, take][..., take]  # [r, a, r', a'] at V's columns
+        out = (phases[:, None, None] * blocks * phases.conj()).reshape(dim * dim, dim * dim)
     return out
 
 

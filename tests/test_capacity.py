@@ -75,26 +75,27 @@ class TestCoherentInformation:
                 assert coherent_information(chan, rho) <= 1e-9
 
     def test_evaluator_built_once_per_channel(self, rng, monkeypatch):
-        # two channels on one environment state: the state is purified once
-        # and each channel builds its evaluator once
+        # two channels on one environment state, four evaluations: the state
+        # is purified once and each channel builds its kernel once
         calls, built = [], []
+        from_tables = WeylMultiplier.from_tables
 
         def counting(matrices):
             calls.append(1)
             return branch_columns(matrices)
 
-        def building(chan):
+        def building(*args, **kwargs):
             built.append(1)
-            return _ic_matrix_fn(chan)
+            return from_tables(*args, **kwargs)
 
         monkeypatch.setattr("qmc.states.branch_columns", counting)
-        monkeypatch.setattr("qmc.capacity._ic_matrix_fn", building)
+        monkeypatch.setattr(WeylMultiplier, "from_tables", building)
         env = random_density_matrix(P7, rng)
         chan, other = channel(BS72, env), channel(BSParams(P7, 2, 5), env)
         first, second = random_density_matrix(P7, rng), random_density_matrix(P7, rng)
         values = [coherent_information(chan, first), coherent_information(chan, second)]
         others = [coherent_information(other, first), coherent_information(other, second)]
-        assert len(calls) == 1 and len(built) == 2 and other.purifier is chan.purifier
+        assert len(calls) == 1 and len(built) == 2
         fresh = channel(BS72, DensityMatrix(P7, env.matrix))
         assert values == [coherent_information(fresh, first), coherent_information(fresh, second)]
         assert len(calls) == 2
@@ -102,10 +103,10 @@ class TestCoherentInformation:
         assert others == [coherent_information(fresh, first), coherent_information(fresh, second)]
 
     def test_used_channel_freed_without_cyclic_gc(self, rng):
-        # the cached evaluator must not hold the channel in a reference cycle
+        # the cached kernel must not hold the channel in a reference cycle
         chan = channel(BS72, random_density_matrix(P7, rng))
         coherent_information(chan, random_density_matrix(P7, rng))
-        chan.ic_evaluator(random_density_matrix(P7, rng).matrix, grad=True)
+        _ic_matrix_fn(chan)(random_density_matrix(P7, rng).matrix, grad=True)
         ref = weakref.ref(chan)
         gc.disable()
         try:
@@ -161,7 +162,7 @@ class TestCoherentInformation:
         chan = BeamSplitterChannel(bs, env.tensor(env).tensor(env))
         tracemalloc.start()
         try:
-            value, grad = chan.ic_evaluator(rho.tensor(rho).tensor(rho).matrix, grad=True)
+            value, grad = _ic_matrix_fn(chan)(rho.tensor(rho).tensor(rho).matrix, grad=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -208,14 +209,14 @@ class TestGradient:
 def oracle_images(chan, rho):
     """(channel output, E x E' complement output) by the gather oracles."""
     (i, j), (ic, jc) = chan.gather_indices(), chan.gather_indices(complement=True)
-    return gather_sum(rho, chan.environment.matrix, i, j), purified_gather_sum(rho, chan.purifier, ic, jc)
+    return gather_sum(rho, chan.environment.matrix, i, j), purified_gather_sum(rho, chan.environment.purifier, ic, jc)
 
 
 def oracle_adjoint(chan, out_probe, comp_probe):
     """N^dag(out_probe) + N^c^dag(comp_probe) by the gather oracles."""
     (i, j), (ic, jc) = chan.gather_indices(), chan.gather_indices(complement=True)
     return gather_sum_adjoint(out_probe, chan.environment.matrix, i, j) + purified_gather_sum_adjoint(
-        comp_probe, chan.purifier, ic, jc
+        comp_probe, chan.environment.purifier, ic, jc
     )
 
 
@@ -281,7 +282,7 @@ class TestFusedKernel:
     def test_gradient_matches_oracle_adjoints_and_differences(self, rng, env_rank):
         chan = channel(BS72, random_density_matrix(P7, rng, rank=env_rank))
         rho = random_density_matrix(P7, rng).matrix
-        value, grad = chan.ic_evaluator(rho, grad=True)
+        value, grad = _ic_matrix_fn(chan)(rho, grad=True)
         out, comp = oracle_images(chan, rho)
         log_out, log_comp = dense_log2(out), dense_log2(comp)
         expected = oracle_adjoint(chan, -log_out, log_comp)
@@ -290,13 +291,13 @@ class TestFusedKernel:
         # dI_c = Tr(A dm) along Hermitian traceless directions
         directions = [random_hermitian(7, rng) for _ in range(6)]
         directions = [h - np.trace(h) / 7 * np.eye(7) for h in directions]
-        reference = ic_gradient_fd(lambda x: chan.ic_evaluator(rho + sum(c * h for c, h in zip(x, directions))), np.zeros(6))
+        reference = ic_gradient_fd(lambda x: _ic_matrix_fn(chan)(rho + sum(c * h for c, h in zip(x, directions))), np.zeros(6))
         assert np.max(np.abs([np.sum(grad * h.T).real for h in directions] - reference)) <= 1e-6
 
     def test_pure_environment_uses_one_stacked_eigensolve(self, rng, monkeypatch):
         chan = channel(BS72, random_pure_state(P7, rng))
         rho = random_density_matrix(P7, rng).matrix
-        chan.ic_evaluator(rho, grad=True)  # builds the purifier (one eigh) and the kernel
+        _ic_matrix_fn(chan)(rho, grad=True)  # builds the purifier (one eigh) and the kernel
         calls = []
 
         def counting(name, original):
@@ -309,10 +310,10 @@ class TestFusedKernel:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(BeamSplitterChannel, "apply_matrix", counting("apply_matrix", BeamSplitterChannel.apply_matrix))
-        chan.ic_evaluator(rho)
+        _ic_matrix_fn(chan)(rho)
         assert calls == ["eigvalsh"]
         calls.clear()
-        chan.ic_evaluator(rho, grad=True)
+        _ic_matrix_fn(chan)(rho, grad=True)
         assert calls == ["eigh"]
 
     def test_family_slices_transform_and_purify_each_state_once(self, rng, monkeypatch):
@@ -388,7 +389,7 @@ class TestFusedKernel:
         lows = [float(np.linalg.eigvalsh(image)[0]) for image in oracle_images(chan, m)]
         assert min(lows) < -1e-9
         with pytest.raises(ValueError, match="density matrix has negative eigenvalue") as info:
-            chan.ic_evaluator(m)
+            _ic_matrix_fn(chan)(m)
         reported = float(re.search(r"eigenvalue (\S+)$", str(info.value)).group(1))
         assert any(low < -1e-9 and reported == pytest.approx(low, rel=1e-2) for low in lows)
 

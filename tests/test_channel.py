@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmc.capacity import _entropy_and_log, coherent_information
+from qmc.capacity import _entropy_and_log, _ic_matrix_fn, coherent_information
 import qmc.channel
 import qmc.linalg
 import qmc.states
@@ -188,18 +188,18 @@ class TestApply:
             chan = BeamSplitterChannel(bs, DensityMatrix(params, sigma))
             (i, j), (ic, jc) = chan.gather_indices(), chan.gather_indices(complement=True)
             out, comp = channel_oracle(rho, sigma, beam_splitter_unitary(d, n, bs.s, bs.t))
-            purified = purified_gather_sum(rho, chan.purifier, ic, jc)
+            purified = purified_gather_sum(rho, chan.environment.purifier, ic, jc)
             assert np.max(np.abs(gather_sum(rho, sigma, i, j) - out)) <= 1e-12
             assert np.max(np.abs(gather_sum(rho, sigma, ic, jc) - comp)) <= 1e-12
             assert np.max(np.abs(chan.apply_matrix(rho) - out)) <= 1e-12
             assert np.max(np.abs(chan.apply_matrix(rho, complement=True) - comp)) <= 1e-12
             env = chan.environment
             forward = WeylMultiplier.from_tables(params, [(bs.s, env.raw_table, bs.t, 1)])
-            complement = WeylMultiplier.from_tables(params, [(-bs.t, env.purified_table, bs.s, chan.purifier.shape[1])])
+            complement = WeylMultiplier.from_tables(params, [(-bs.t, env.purified_table, bs.s, chan.environment.purifier.shape[1])])
             assert np.max(np.abs(complement(rho) - purified)) <= 1e-12
             maps = (
                 (forward, out, lambda m: gather_sum_adjoint(m, sigma, i, j)),
-                (complement, purified, lambda m: purified_gather_sum_adjoint(m, chan.purifier, ic, jc)),
+                (complement, purified, lambda m: purified_gather_sum_adjoint(m, chan.environment.purifier, ic, jc)),
             )
             logs = []
             for multiplier, image, oracle_adjoint in maps:
@@ -208,8 +208,8 @@ class TestApply:
                 logs.append(_entropy_and_log(multiplier(rho))[1])
                 adjoint, expected = multiplier.adjoint(logs[-1]), oracle_adjoint(logs[-1])
                 assert np.max(np.abs(adjoint - expected)) <= 1e-12 * np.max(np.abs(logs[-1]))
-            _, grad = chan.ic_evaluator(rho, grad=True)
-            expected = purified_gather_sum_adjoint(logs[1], chan.purifier, ic, jc) - gather_sum_adjoint(logs[0], sigma, i, j)
+            _, grad = _ic_matrix_fn(chan)(rho, grad=True)
+            expected = purified_gather_sum_adjoint(logs[1], chan.environment.purifier, ic, jc) - gather_sum_adjoint(logs[0], sigma, i, j)
             assert np.max(np.abs(grad - expected)) <= 1e-12 * max(np.max(np.abs(log)) for log in logs)
 
     def test_dim121_memory_bounded_and_table_identity(self, rng):

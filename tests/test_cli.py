@@ -173,6 +173,15 @@ class TestFidelityCommand:
         assert "--trials must be at least 0, got -3" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_logical_dim_below_one_exits_2_naming_the_flag(self, value, capsys):
+        code = main(["fidelity", "--d", "7", "--s", "2", "--t", "5", "--env", "preset:appc-a", "--K", value,
+                     "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--K must be at least 1, got {value}" in captured.err
+        assert captured.out == ""
+
     def test_zero_trials_means_no_search(self, capsys):
         code, out = run(["fidelity", "--d", "7", "--s", "2", "--t", "2", "--env", "preset:ket-zero",
                          "--trials", "0"], capsys)
@@ -181,7 +190,7 @@ class TestFidelityCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("flag", ["--trials", "--samples", "--env-samples"])
+    @pytest.mark.parametrize("flag", ["--trials", "--samples", "--env-samples", "--K"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_vacuous_counts_exit_2_naming_the_flag(self, flag, value, capsys):
         code = main(["verify", "--suite", "coding", "--d", "7", "--s", "2", "--t", "2", flag, value, "--seed", "1"])
@@ -190,7 +199,7 @@ class TestVerifyCommand:
         assert f"{flag} must be at least 1, got {value}" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("field", ["trials", "samples", "env_samples"])
+    @pytest.mark.parametrize("field", ["trials", "samples", "env_samples", "logical_dim"])
     def test_verify_config_rejects_counts_below_one(self, field):
         from qmc.verify import VerifyConfig
 
@@ -273,6 +282,33 @@ class TestVerifyCommand:
         assert json.loads(captured.out)["results"]["pass"] is True
         lines = captured.err.splitlines()
         assert lines and all(line.startswith("[PASS] theorem-5:") for line in lines)
+
+    @pytest.mark.parametrize("suite", ["theorem-4", "all"])
+    def test_two_copy_layout_rejected_before_the_optimizer(self, suite, monkeypatch):
+        # theorem-4 builds a channel on two copies of the qudit: at d = 19,
+        # 19^2 = 361 exceeds MAX_DIM, which is caught before any optimizer run
+        import qmc.verify as verify_mod
+
+        calls = []
+        monkeypatch.setattr(verify_mod, "qcap_one_shot", lambda *args, **kwargs: calls.append(1))
+        cfg = verify_mod.VerifyConfig(d=19, s=2, t=4, restarts=1, iterations=5, env_samples=1, seed=7)
+        with pytest.raises(ValueError, match=f"suite {suite!r} builds 2-qudit channels.*361 exceeds"):
+            verify_mod.run_suite(suite, cfg)
+        assert calls == []
+
+    def test_two_copy_premise_rejects_exactly_past_d17(self):
+        from qmc.verify import VerifyConfig, check_suite_n
+        from qmc.weyl import is_prime
+
+        for d in filter(is_prime, range(7, 338)):
+            bs = next(b for b in valid_st_pairs(QuditParams(d)) if b.nontrivial)
+            cfg = VerifyConfig(d=d, s=bs.s, t=bs.t)
+            for suite in ("theorem-4", "all"):
+                if d >= 19:
+                    with pytest.raises(ValueError, match="2-qudit channels"):
+                        check_suite_n(suite, cfg)
+                else:
+                    check_suite_n(suite, cfg)
 
     def test_theorem5_runs_at_n2_with_unequal_weights(self):
         from qmc.verify import VerifyConfig

@@ -116,6 +116,11 @@ class TestComputationalCode:
         with pytest.raises(ValueError, match="exceeds"):
             stabilizer_code_construction(P7, BS72, 8)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_empty_logical_dim_rejected(self, k):
+        with pytest.raises(ValueError, match=f"logical dimension must be >= 1, got {k}"):
+            stabilizer_code_construction(P7, BS72, k)
+
     def test_two_qudit_code_decodes_digitwise(self):
         # s multiplies each base-d digit of the encoded ket, not its flat index
         params = QuditParams(7, 2)
@@ -235,26 +240,26 @@ class TestCeilingSearch:
         # columns are signed zeros; every seed decodes the same codes to the
         # same fidelities, byte for byte
         family = enumerate_stabilizers(params)
-        purifiers_of = coding._cycled_purifiers(family)
+        padded = coding._padded
+        state_of = {id(family[e].purifier): family[e] for e in range(len(family))}
 
-        def stacked_of(lo, t):
-            return purifiers(np.stack([family.state_at(int(e)).matrix for e in np.arange(lo, lo + t) % len(family)]))
+        def stacked(kept):
+            return purifiers(np.stack([state_of[id(p)].matrix for p in kept]))
 
         for lo in range(0, trials, 32):
-            t = min(32, trials - lo)
-            kept, stacked = purifiers_of(lo, t), stacked_of(lo, t)
-            assert kept.dtype == stacked.dtype and kept.shape == stacked.shape
-            for e, member, reference in zip(np.arange(lo, lo + t) % len(family), kept, stacked):
-                rank = family.state_at(int(e)).purifier.shape[1]
-                pad = member.shape[1] - rank
-                assert np.count_nonzero(np.abs(reference[:, :pad])) == 0  # the stack drops the same columns
-                assert member[:, pad:].tobytes() == reference[:, pad:].tobytes()
-                assert np.all(member[:, :pad] == 0)
-        gather = BeamSplitterChannel(bs, family.state_at(0)).gather_indices()
+            members = [family[e % len(family)] for e in range(lo, min(lo + 32, trials))]
+            kept, reference = padded([m.purifier for m in members]), stacked([m.purifier for m in members])
+            assert kept.dtype == reference.dtype and kept.shape == reference.shape
+            for state, block, ref in zip(members, kept, reference):
+                pad = block.shape[1] - state.purifier.shape[1]
+                assert np.count_nonzero(np.abs(ref[:, :pad])) == 0  # the stack drops the same columns
+                assert block[:, pad:].tobytes() == ref[:, pad:].tobytes()
+                assert np.all(block[:, :pad] == 0)
+        gather = BeamSplitterChannel(bs, family[0]).gather_indices()
         trial_block = coding._trial_block
         for seed in (0, 1, 2):
             found, fidelities = [], []
-            for of in (purifiers_of, stacked_of):
+            for route in (padded, stacked):
                 fidelities.append([])
 
                 def recording(*args):
@@ -263,7 +268,8 @@ class TestCeilingSearch:
                     return values
 
                 monkeypatch.setattr(coding, "_trial_block", recording)
-                found.append(coding._search_trials(np.random.default_rng(seed), trials, 2, gather, of, -math.inf))
+                monkeypatch.setattr(coding, "_padded", route)
+                found.append(coding._search_trials(np.random.default_rng(seed), trials, 2, gather, family, -math.inf))
             assert found[0] == found[1]
             assert fidelities[0] == fidelities[1] and len(fidelities[0]) > 0
 
@@ -406,10 +412,7 @@ class TestSearchesMatchOracleRoute:
         # while the claim holds the 1/K construction wins the search, so the
         # trials are compared again with it left out
         gather = BeamSplitterChannel(bs, family.state_at(0)).gather_indices()
-        purifiers_of = coding._cycled_purifiers(family)
-        value, (trial, name) = coding._search_trials(
-            np.random.default_rng(seed), trials, k, gather, purifiers_of, -math.inf
-        )
+        value, (trial, name) = coding._search_trials(np.random.default_rng(seed), trials, k, gather, family, -math.inf)
         old = ceiling_search_loop(family, bs, k, trials, seed, unitary, baseline=False)
         assert abs(value - old.best_value) <= 1e-12
         assert f"trial {trial} ({name} decoder, environment {trial % len(family)})" == old.best_descriptor

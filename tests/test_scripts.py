@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -60,6 +62,20 @@ def test_sweep_path_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", SWEEP_PATH], capture_output=True, text=True, env=ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+def test_capacity_sweep_rows_respect_the_magic_bound():
+    # d = 7 has 4 nontrivial pairs, each against the 6 preset environments
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "capacity_sweep.py"), "--d", "7", "--restarts", "1",
+         "--iterations", "5", "--random-envs", "0"],
+        capture_output=True, text=True, env=ENV, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert proc.stdout.splitlines()[0] == "d,s,t,environment,lower_bound_bits,magic_bound_bits,slack_bits"
+    assert len(rows) == 24 and len({(r["s"], r["t"]) for r in rows}) == 4
+    assert all(float(r["slack_bits"]) >= -1e-6 for r in rows)
+
 
 def test_reproduce_results_quick(tmp_path):
     spec = importlib.util.spec_from_file_location("reproduce_results", REPRODUCE)
